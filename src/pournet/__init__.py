@@ -6,122 +6,4 @@ cup pours. Everything numerical (cells, backprop, Adam, the physics
 simulator feeding it) lives here in plain numpy.
 """
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import (
-    DEFAULT_MAX_LEN,
-    FEATURE_ORDER,
-    NUM_FEATURES,
-    Normalizer,
-    PaddedBatch,
-    PourRecord,
-    SplitManifest,
-    apply_normalizer,
-    build_features,
-    fit_normalizer,
-    load_manifest,
-    pad_and_mask,
-    parse_dataset,
-    save_manifest,
-    serialize_dataset,
-    split_dataset,
-    validate_record,
-)
-from .errors import DatasetFormatError, NumericalError
-from .grad import backward, check_gradients, finite_diff_grad, frozen_dropout_masks
-from .grid import DEFAULT_GRID, GridCombo, GridReport, GridRow, run_grid, scale_epochs
-from .losses import loss_and_grad, masked_euclidean, masked_mse, per_sequence_metric
-from .nn import (
-    LayerSpec,
-    ModelParams,
-    ModelSpec,
-    build_model,
-    count_params,
-    forward,
-    layer_param_counts,
-    model_forward,
-    reference_model,
-)
-from .optim import AdamState, adam_step
-from .simulate import (
-    CupGeometry,
-    SimRanges,
-    TrajectoryConfig,
-    cup_empty_weight,
-    default_ranges,
-    gen_theta_trajectory,
-    generate_dataset,
-    quasi_static_pour,
-    retained_volume,
-    weight_from_volume,
-    wide_cup_ranges,
-)
-from .train import EvalResult, RunHistory, TrainConfig, evaluate, export_history, train
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamState",
-    "Checkpoint",
-    "CupGeometry",
-    "DEFAULT_GRID",
-    "DEFAULT_MAX_LEN",
-    "DatasetFormatError",
-    "EvalResult",
-    "FEATURE_ORDER",
-    "GridCombo",
-    "GridReport",
-    "GridRow",
-    "LayerSpec",
-    "ModelParams",
-    "ModelSpec",
-    "Normalizer",
-    "NumericalError",
-    "NUM_FEATURES",
-    "PaddedBatch",
-    "PourRecord",
-    "RunHistory",
-    "SimRanges",
-    "SplitManifest",
-    "TrainConfig",
-    "TrajectoryConfig",
-    "adam_step",
-    "apply_normalizer",
-    "backward",
-    "build_features",
-    "build_model",
-    "check_gradients",
-    "count_params",
-    "cup_empty_weight",
-    "default_ranges",
-    "evaluate",
-    "export_history",
-    "finite_diff_grad",
-    "fit_normalizer",
-    "forward",
-    "frozen_dropout_masks",
-    "gen_theta_trajectory",
-    "generate_dataset",
-    "layer_param_counts",
-    "load_checkpoint",
-    "load_manifest",
-    "loss_and_grad",
-    "masked_euclidean",
-    "masked_mse",
-    "model_forward",
-    "pad_and_mask",
-    "parse_dataset",
-    "per_sequence_metric",
-    "quasi_static_pour",
-    "reference_model",
-    "retained_volume",
-    "run_grid",
-    "save_checkpoint",
-    "save_manifest",
-    "scale_epochs",
-    "serialize_dataset",
-    "split_dataset",
-    "train",
-    "validate_record",
-    "weight_from_volume",
-    "wide_cup_ranges",
-]

@@ -13,6 +13,7 @@ Layout (one logical item per line):
 
 Values are written with 17 significant digits, which round-trips float64
 bitwise. Field order inside a layer matches the flat parameter packing.
+Values must be finite.
 """
 
 import json
@@ -108,6 +109,10 @@ def load_checkpoint(path) -> Checkpoint:
                 raise DatasetFormatError(
                     f"{path}: line {cursor + 1}: bad value in layer {idx} {name}"
                 ) from exc
+            if not np.all(np.isfinite(values)):
+                raise DatasetFormatError(
+                    f"{path}: line {cursor + 1}: non-finite value in layer {idx} {name}"
+                )
             rows.append(values)
         try:
             array = np.asarray(rows, dtype=np.float64).reshape(shape)
@@ -120,24 +125,22 @@ def load_checkpoint(path) -> Checkpoint:
     else:
         raise DatasetFormatError(f"{path}: missing 'end' line")
 
-    # Rebuild through the flat packing so shapes are cross-checked against the model spec.
-    template = ModelParams.from_flat(spec, np.zeros(count_params(spec)))
-    chunks = []
-    for idx, p in enumerate(template.layers):
+    # Copy each block into its view of a fresh vector; shapes are checked against the spec.
+    params = ModelParams.from_flat(spec, np.zeros(count_params(spec)))
+    for idx, p in enumerate(params.layers):
         if p is None:
             continue
         for name in p.FIELDS:
-            expected = getattr(p, name).shape
+            view = getattr(p, name)
             if (idx, name) not in arrays:
                 raise DatasetFormatError(f"{path}: missing parameters for layer {idx} {name}")
             got = arrays.pop((idx, name))
-            if got.shape != expected:
+            if got.shape != view.shape:
                 raise DatasetFormatError(
-                    f"{path}: layer {idx} {name} has shape {got.shape}, expected {expected}"
+                    f"{path}: layer {idx} {name} has shape {got.shape}, expected {view.shape}"
                 )
-            chunks.append(got.ravel())
+            view[:] = got
     if arrays:
         stray = ", ".join(f"layer {i} {n}" for i, n in sorted(arrays))
         raise DatasetFormatError(f"{path}: unexpected parameter blocks: {stray}")
-    params = ModelParams.from_flat(spec, np.concatenate(chunks) if chunks else np.zeros(0))
     return Checkpoint(params=params, normalizer=normalizer, seeds=seeds)

@@ -90,7 +90,7 @@ def check_gradients(params, batch, loss_kind: str, h: float = FD_STEP,
     def loss_at(flat):
         p = nn.ModelParams.from_flat(spec, flat)
         preds, _ = nn.forward(p, batch.features, batch.mask, mode="train",
-                              dropout_masks=dropout_masks)
+                              dropout_masks=dropout_masks, want_cache=False)
         val, _ = loss_and_grad(loss_kind, preds, batch.targets, batch.mask)
         return val
 

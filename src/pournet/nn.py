@@ -1,5 +1,5 @@
 """Recurrent cells, dense and dropout layers, the stacked sequence model,
-and parameter packing.
+and the flat parameter store with its per-layer views.
 
 Conventions fixed across the package:
 
@@ -163,142 +163,116 @@ def reference_model(cell: str = "lstm", output_activation: str = "relu") -> Mode
     )
 
 
-def layer_param_counts(spec: ModelSpec) -> list:
-    """Trainable parameter count of each layer, in stack order."""
-    widths = spec.widths()
-    counts = []
-    for d, layer in zip(widths, spec.layers):
-        u = layer.units
-        if layer.kind == "lstm":
-            counts.append(4 * ((d + u) * u + u))
-        elif layer.kind == "gru":
-            counts.append(3 * ((d + u) * u + u))
-        elif layer.kind == "dense":
-            counts.append((d + 1) * u)
+# ---------------------------------------------------------------------------
+# Parameters
+
+
+class _LayerParams:
+    """One layer's parameters: views into a slice of the model's flat vector.
+
+    `kernel` is [gates * units, in] and `bias` is [gates * units], gate row
+    blocks stacked in FIELDS order; for recurrent layers `in` is
+    units + input_dim, state columns first. Each named field in FIELDS (the
+    kernels first, then the biases) is a row-block view of one of the two.
+    """
+
+    FIELDS = ("W", "b")
+
+    def __init__(self, kernel: np.ndarray, bias: np.ndarray):
+        self.kernel = kernel
+        self.bias = bias
+        gates = len(self.FIELDS) // 2
+        u = self.units = bias.shape[0] // gates
+        for k in range(gates):
+            setattr(self, self.FIELDS[k], kernel[k * u : (k + 1) * u])
+            setattr(self, self.FIELDS[gates + k], bias[k * u : (k + 1) * u])
+
+
+class DenseParams(_LayerParams):
+    """Affine map: W [units, input_dim], b [units], applied per timestep."""
+
+
+class LstmParams(_LayerParams):
+    """Gate kernels [units, units + input_dim] over [h_prev, x_t] and biases [units]."""
+
+    FIELDS = ("W_i", "W_f", "W_o", "W_c", "b_i", "b_f", "b_o", "b_c")
+
+
+class GruParams(_LayerParams):
+    """Update/reset/candidate kernels [units, units + input_dim] and biases [units].
+
+    W_h multiplies [r * h_prev, x_t]."""
+
+    FIELDS = ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h")
+
+
+_PARAM_CLASSES = {"lstm": LstmParams, "gru": GruParams, "dense": DenseParams}
+
+
+def _kernel_shapes(spec: ModelSpec) -> list:
+    """(rows, cols) of each layer's stacked kernel, in stack order (None for dropout)."""
+    shapes = []
+    for d, layer in zip(spec.widths(), spec.layers):
+        cls = _PARAM_CLASSES.get(layer.kind)
+        if cls is None:
+            shapes.append(None)
         else:
-            counts.append(0)
-    return counts
+            cols = d if layer.kind == "dense" else d + layer.units
+            shapes.append((len(cls.FIELDS) // 2 * layer.units, cols))
+    return shapes
+
+
+def layer_param_counts(spec: ModelSpec) -> list:
+    """Trainable parameter count of each layer, in stack order: kernel plus bias."""
+    return [0 if shape is None else shape[0] * (shape[1] + 1) for shape in _kernel_shapes(spec)]
 
 
 def count_params(spec: ModelSpec) -> int:
     return int(sum(layer_param_counts(spec)))
 
 
-# ---------------------------------------------------------------------------
-# Parameters
-
-
-@dataclass(eq=False)
-class LstmParams:
-    """Gate kernels [units, input_dim + units] over [h_prev, x_t] and biases [units]."""
-
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
-
-    FIELDS = ("W_i", "W_f", "W_o", "W_c", "b_i", "b_f", "b_o", "b_c")
-
-    @property
-    def units(self) -> int:
-        return int(self.b_i.shape[0])
-
-
-@dataclass(eq=False)
-class GruParams:
-    """Update/reset/candidate kernels [units, input_dim + units] and biases [units].
-
-    W_h multiplies [r * h_prev, x_t]."""
-
-    W_z: np.ndarray
-    W_r: np.ndarray
-    W_h: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_h: np.ndarray
-
-    FIELDS = ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h")
-
-    @property
-    def units(self) -> int:
-        return int(self.b_z.shape[0])
-
-
-@dataclass(eq=False)
-class DenseParams:
-    """Affine map: W [units, input_dim], b [units], applied per timestep."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-    FIELDS = ("W", "b")
-
-    @property
-    def units(self) -> int:
-        return int(self.b.shape[0])
-
-
-def _param_arrays(layer_params):
-    return [getattr(layer_params, name) for name in layer_params.FIELDS]
+def _layer_views(spec: ModelSpec, flat: np.ndarray) -> list:
+    """Carve per-layer views (None for dropout) out of a flat vector, in packing order."""
+    layers = []
+    pos = 0
+    for layer, shape in zip(spec.layers, _kernel_shapes(spec)):
+        if shape is None:
+            layers.append(None)
+            continue
+        rows, cols = shape
+        kernel = flat[pos : pos + rows * cols].reshape(rows, cols)
+        pos += rows * cols
+        layers.append(_PARAM_CLASSES[layer.kind](kernel, flat[pos : pos + rows]))
+        pos += rows
+    return layers
 
 
 @dataclass(eq=False)
 class ModelParams:
-    """Per-layer parameter objects aligned with a ModelSpec (None for dropout)."""
+    """The flat parameter vector of a ModelSpec, plus per-layer views into it
+    (None for dropout). The views share memory with `flat`."""
 
     spec: ModelSpec
+    flat: np.ndarray
     layers: list
 
     def flatten(self) -> np.ndarray:
-        """All parameters as one float64 vector: layers in order, each layer's
-        fields in declaration order, arrays raveled row-major."""
-        chunks = []
-        for p in self.layers:
-            if p is not None:
-                chunks.extend(a.ravel() for a in _param_arrays(p))
-        if not chunks:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate(chunks)
+        """A copy of the parameter vector: layers in order, each layer's
+        fields in FIELDS order, arrays raveled row-major."""
+        return self.flat.copy()
 
     @classmethod
     def from_flat(cls, spec: ModelSpec, flat: np.ndarray) -> "ModelParams":
+        """Wrap `flat` without copying it (a float64 vector is used as is), so
+        writes to the vector show through the layer views."""
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != count_params(spec):
-            raise ValueError(f"expected {count_params(spec)} parameters, got {flat.size}")
-        widths = spec.widths()
-        layers = []
-        pos = 0
-
-        def grab(shape):
-            nonlocal pos
-            size = int(np.prod(shape))
-            block = flat[pos : pos + size].reshape(shape).copy()
-            pos += size
-            return block
-
-        for d, layer in zip(widths, spec.layers):
-            u = layer.units
-            if layer.kind == "lstm":
-                ws = [grab((u, d + u)) for _ in range(4)]
-                bs = [grab((u,)) for _ in range(4)]
-                layers.append(LstmParams(*ws, *bs))
-            elif layer.kind == "gru":
-                ws = [grab((u, d + u)) for _ in range(3)]
-                bs = [grab((u,)) for _ in range(3)]
-                layers.append(GruParams(*ws, *bs))
-            elif layer.kind == "dense":
-                layers.append(DenseParams(grab((u, d)), grab((u,))))
-            else:
-                layers.append(None)
-        return cls(spec, layers)
+        if flat.ndim != 1 or flat.size != count_params(spec):
+            raise ValueError(f"expected a vector of {count_params(spec)} parameters, got shape {flat.shape}")
+        return cls(spec, flat, _layer_views(spec, flat))
 
     @property
     def num_params(self) -> int:
-        return count_params(self.spec)
+        return int(self.flat.size)
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -312,36 +286,24 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _gate_kernel(rng, u, d):
-    """[u, u + d] kernel: orthogonal on the recurrent columns, Glorot on the input columns."""
-    w = np.empty((u, u + d), dtype=np.float64)
-    w[:, :u] = _orthogonal(rng, u)
-    w[:, u:] = _glorot(rng, u, d, fan_in=d, fan_out=u)
-    return w
-
-
 def build_model(spec: ModelSpec, init_seed: int = 0) -> ModelParams:
     """Initialize parameters: Glorot-uniform input kernels, orthogonal
     recurrent kernels, zero biases except the LSTM forget gate bias at 1.0."""
     spec.validate()
     rng = np.random.default_rng(init_seed)
-    widths = spec.widths()
-    layers = []
-    for d, layer in zip(widths, spec.layers):
+    params = ModelParams.from_flat(spec, np.zeros(count_params(spec)))
+    for d, layer, p in zip(spec.widths(), spec.layers, params.layers):
         u = layer.units
-        if layer.kind == "lstm":
-            ws = [_gate_kernel(rng, u, d) for _ in range(4)]
-            bs = [np.zeros(u), np.ones(u), np.zeros(u), np.zeros(u)]
-            layers.append(LstmParams(*ws, *bs))
-        elif layer.kind == "gru":
-            ws = [_gate_kernel(rng, u, d) for _ in range(3)]
-            bs = [np.zeros(u) for _ in range(3)]
-            layers.append(GruParams(*ws, *bs))
-        elif layer.kind == "dense":
-            layers.append(DenseParams(_glorot(rng, u, d, fan_in=d, fan_out=u), np.zeros(u)))
-        else:
-            layers.append(None)
-    return ModelParams(spec, layers)
+        if layer.kind == "dense":
+            p.kernel[:] = _glorot(rng, u, d, fan_in=d, fan_out=u)
+        elif p is not None:
+            # Gate by gate: orthogonal recurrent columns, then Glorot input columns.
+            for top in range(0, p.kernel.shape[0], u):
+                p.kernel[top : top + u, :u] = _orthogonal(rng, u)
+                p.kernel[top : top + u, u:] = _glorot(rng, u, d, fan_in=d, fan_out=u)
+            if layer.kind == "lstm":
+                p.b_f[:] = 1.0
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -439,24 +401,14 @@ def dropout_forward(x, rate: float, mode: str, rng: np.random.Generator | None =
 
 
 # ---------------------------------------------------------------------------
-# Batched layer forwards with caches (the training path)
-
-_LSTM_GATES = 4  # i, f, o, candidate
-_GRU_GATES = 2  # z, r
-
-
-def _stack_lstm(params: LstmParams):
-    w = np.concatenate([params.W_i, params.W_f, params.W_o, params.W_c], axis=0)
-    b = np.concatenate([params.b_i, params.b_f, params.b_o, params.b_c])
-    return w, b
+# Batched layer forwards (caches optional) and backwards into gradient views
 
 
 def _lstm_layer_forward(layer: LayerSpec, params: LstmParams, x, mask, want_cache: bool):
     n, t_len, _ = x.shape
     u = params.units
-    w, b = _stack_lstm(params)
-    wh, wx = w[:, :u], w[:, u:]
-    xa = x @ wx.T + b  # [n, T, 4u]
+    wh, wx = params.kernel[:, :u], params.kernel[:, u:]
+    xa = x @ wx.T + params.bias  # [n, T, 4u]
     h = np.zeros((n, u))
     c = np.zeros((n, u))
     out = np.zeros((n, t_len, u))
@@ -498,12 +450,11 @@ def _lstm_layer_forward(layer: LayerSpec, params: LstmParams, x, mask, want_cach
     return out, cache
 
 
-def _lstm_layer_backward(layer: LayerSpec, params: LstmParams, cache, dout):
+def _lstm_layer_backward(layer: LayerSpec, params: LstmParams, cache, dout, grads: LstmParams):
     x, mask = cache["x"], cache["mask"]
     n, t_len, d = x.shape
     u = params.units
-    w, _ = _stack_lstm(params)
-    wh, wx = w[:, :u], w[:, u:]
+    wh, wx = params.kernel[:, :u], params.kernel[:, u:]
     d_a = np.zeros((n, t_len, 4 * u))
     dh = np.zeros((n, u))
     dc = np.zeros((n, u))
@@ -532,26 +483,16 @@ def _lstm_layer_backward(layer: LayerSpec, params: LstmParams, cache, dout):
         dh = (1.0 - m) * dh + d_a[:, step] @ wh
         dc = (1.0 - m) * dc + dc_new * f_g
     flat_a = d_a.reshape(n * t_len, 4 * u)
-    d_wh = flat_a.T @ cache["Hp"].reshape(n * t_len, u)
-    d_wx = flat_a.T @ x.reshape(n * t_len, d)
-    d_w = np.concatenate([d_wh, d_wx], axis=1)
-    d_b = flat_a.sum(axis=0)
-    dx = d_a @ wx
-    grads = [d_w[:u], d_w[u : 2 * u], d_w[2 * u : 3 * u], d_w[3 * u :],
-             d_b[:u], d_b[u : 2 * u], d_b[2 * u : 3 * u], d_b[3 * u :]]
-    return dx, grads
-
-
-def _stack_gru_gates(params: GruParams):
-    w = np.concatenate([params.W_z, params.W_r], axis=0)
-    b = np.concatenate([params.b_z, params.b_r])
-    return w, b
+    grads.kernel[:, :u] = flat_a.T @ cache["Hp"].reshape(n * t_len, u)
+    grads.kernel[:, u:] = flat_a.T @ x.reshape(n * t_len, d)
+    grads.bias[:] = flat_a.sum(axis=0)
+    return d_a @ wx
 
 
 def _gru_layer_forward(layer: LayerSpec, params: GruParams, x, mask, want_cache: bool):
     n, t_len, _ = x.shape
     u = params.units
-    w_zr, b_zr = _stack_gru_gates(params)
+    w_zr, b_zr = params.kernel[: 2 * u], params.bias[: 2 * u]
     wh_zr, wx_zr = w_zr[:, :u], w_zr[:, u:]
     wh_c, wx_c = params.W_h[:, :u], params.W_h[:, u:]
     xa_zr = x @ wx_zr.T + b_zr  # [n, T, 2u]
@@ -592,12 +533,11 @@ def _gru_layer_forward(layer: LayerSpec, params: GruParams, x, mask, want_cache:
     return out, cache
 
 
-def _gru_layer_backward(layer: LayerSpec, params: GruParams, cache, dout):
+def _gru_layer_backward(layer: LayerSpec, params: GruParams, cache, dout, grads: GruParams):
     x, mask = cache["x"], cache["mask"]
     n, t_len, d = x.shape
     u = params.units
-    w_zr, _ = _stack_gru_gates(params)
-    wh_zr, wx_zr = w_zr[:, :u], w_zr[:, u:]
+    wh_zr, wx_zr = params.kernel[: 2 * u, :u], params.kernel[: 2 * u, u:]
     wh_c, wx_c = params.W_h[:, :u], params.W_h[:, u:]
     d_a_zr = np.zeros((n, t_len, 2 * u))
     d_a_c = np.zeros((n, t_len, u))
@@ -624,15 +564,14 @@ def _gru_layer_backward(layer: LayerSpec, params: GruParams, cache, dout):
         dh = (1.0 - m) * dh + dh_prev + da_zr @ wh_zr
     flat_zr = d_a_zr.reshape(n * t_len, 2 * u)
     flat_c = d_a_c.reshape(n * t_len, u)
-    hp_flat = cache["Hp"].reshape(n * t_len, u)
     x_flat = x.reshape(n * t_len, d)
-    d_w_zr = np.concatenate([flat_zr.T @ hp_flat, flat_zr.T @ x_flat], axis=1)
-    d_w_c = np.concatenate([flat_c.T @ cache["RH"].reshape(n * t_len, u), flat_c.T @ x_flat], axis=1)
-    d_b_zr = flat_zr.sum(axis=0)
-    d_b_c = flat_c.sum(axis=0)
-    dx = d_a_zr @ wx_zr + d_a_c @ wx_c
-    grads = [d_w_zr[:u], d_w_zr[u:], d_w_c, d_b_zr[:u], d_b_zr[u:], d_b_c]
-    return dx, grads
+    grads.kernel[: 2 * u, :u] = flat_zr.T @ cache["Hp"].reshape(n * t_len, u)
+    grads.kernel[: 2 * u, u:] = flat_zr.T @ x_flat
+    grads.W_h[:, :u] = flat_c.T @ cache["RH"].reshape(n * t_len, u)
+    grads.W_h[:, u:] = flat_c.T @ x_flat
+    grads.bias[: 2 * u] = flat_zr.sum(axis=0)
+    grads.b_h[:] = flat_c.sum(axis=0)
+    return d_a_zr @ wx_zr + d_a_c @ wx_c
 
 
 def _dense_layer_forward(layer: LayerSpec, params: DenseParams, x, mask, want_cache: bool):
@@ -642,25 +581,30 @@ def _dense_layer_forward(layer: LayerSpec, params: DenseParams, x, mask, want_ca
     return y, cache
 
 
-def _dense_layer_backward(layer: LayerSpec, params: DenseParams, cache, dout):
+def _dense_layer_backward(layer: LayerSpec, params: DenseParams, cache, dout, grads: DenseParams):
     x, a = cache["x"], cache["A"]
     da = dout * activation_grad(layer.activation, a, cache["Y"])
     n, t_len, u = da.shape
-    d = x.shape[2]
     flat = da.reshape(n * t_len, u)
-    d_w = flat.T @ x.reshape(n * t_len, d)
-    d_b = flat.sum(axis=0)
-    dx = da @ params.W
-    return dx, [d_w, d_b]
+    grads.W[:] = flat.T @ x.reshape(n * t_len, x.shape[2])
+    grads.b[:] = flat.sum(axis=0)
+    return da @ params.W
+
+
+_LAYER_FORWARD = {"lstm": _lstm_layer_forward, "gru": _gru_layer_forward, "dense": _dense_layer_forward}
+_LAYER_BACKWARD = {"lstm": _lstm_layer_backward, "gru": _gru_layer_backward, "dense": _dense_layer_backward}
 
 
 def forward(params: ModelParams, features, mask, mode: str = "eval",
-            rng: np.random.Generator | None = None, dropout_masks: list | None = None):
+            rng: np.random.Generator | None = None, dropout_masks: list | None = None,
+            want_cache: bool = True):
     """Run the whole stack; returns (predictions, caches).
 
     features: [n, T, input_dim], mask: [n, T]. In train mode each dropout
     layer samples a kept mask from `rng` unless `dropout_masks` supplies one
     per dropout layer (used to freeze dropout for gradient checking).
+    `caches` holds what backward_through_layers needs, one entry per layer;
+    with want_cache=False every entry is None and nothing is kept.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval (got {mode!r})")
@@ -675,13 +619,10 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
     caches = []
     drop_index = 0
     for layer, p in zip(spec.layers, params.layers):
-        if layer.kind == "lstm":
-            x, cache = _lstm_layer_forward(layer, p, x, mask, want_cache=True)
-        elif layer.kind == "gru":
-            x, cache = _gru_layer_forward(layer, p, x, mask, want_cache=True)
-        elif layer.kind == "dense":
-            x, cache = _dense_layer_forward(layer, p, x, mask, want_cache=True)
+        if layer.kind != "dropout":
+            x, cache = _LAYER_FORWARD[layer.kind](layer, p, x, mask, want_cache)
         else:
+            scale = None
             if mode == "train" and layer.rate > 0.0:
                 if dropout_masks is not None:
                     kept = dropout_masks[drop_index]
@@ -691,9 +632,7 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
                     raise ValueError("train-mode dropout needs an RNG or explicit masks")
                 scale = kept / (1.0 - layer.rate)
                 x = x * scale
-                cache = {"scale": scale}
-            else:
-                cache = {"scale": None}
+            cache = {"scale": scale} if want_cache else None
             drop_index += 1
         caches.append(cache)
     return x, caches
@@ -701,31 +640,18 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
 
 def backward_through_layers(params: ModelParams, caches, dpred):
     """Walk the stack in reverse; returns the flat gradient vector
-    (same packing as ModelParams.flatten)."""
+    (same packing as ModelParams.flatten). Each layer writes its gradient
+    straight into views of that vector."""
     spec = params.spec
-    grads_per_layer = [None] * len(spec.layers)
+    grad = np.zeros(params.flat.size)
+    grad_views = _layer_views(spec, grad)
     dx = dpred
-    for idx in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[idx]
-        p = params.layers[idx]
-        cache = caches[idx]
-        if layer.kind == "lstm":
-            dx, grads = _lstm_layer_backward(layer, p, cache, dx)
-        elif layer.kind == "gru":
-            dx, grads = _gru_layer_backward(layer, p, cache, dx)
-        elif layer.kind == "dense":
-            dx, grads = _dense_layer_backward(layer, p, cache, dx)
-        else:
-            if cache["scale"] is not None:
-                dx = dx * cache["scale"]
-            grads = []
-        grads_per_layer[idx] = grads
-    chunks = []
-    for grads in grads_per_layer:
-        chunks.extend(g.ravel() for g in grads)
-    if not chunks:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate(chunks)
+    for layer, p, g, cache in reversed(list(zip(spec.layers, params.layers, grad_views, caches))):
+        if layer.kind != "dropout":
+            dx = _LAYER_BACKWARD[layer.kind](layer, p, cache, dx, g)
+        elif cache["scale"] is not None:
+            dx = dx * cache["scale"]
+    return grad
 
 
 def model_forward(params: ModelParams, batch, mode: str = "eval",
@@ -735,5 +661,5 @@ def model_forward(params: ModelParams, batch, mode: str = "eval",
     Values at masked steps are defined but meant to be excluded by the mask
     in any loss.
     """
-    preds, _ = forward(params, batch.features, batch.mask, mode=mode, rng=rng)
+    preds, _ = forward(params, batch.features, batch.mask, mode=mode, rng=rng, want_cache=False)
     return preds

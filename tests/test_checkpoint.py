@@ -87,6 +87,16 @@ def test_header_and_corruption_errors(tmp_path):
     with pytest.raises(DatasetFormatError):
         load_checkpoint(mangled)
 
+    # non-finite values parse as floats but must not load
+    first_row = next(i for i, line in enumerate(text.splitlines()) if line.startswith("param")) + 1
+    for bad in ("nan", "inf", "-inf"):
+        lines = text.splitlines()
+        lines[first_row] = " ".join([bad] + lines[first_row].split()[1:])
+        nonfinite = tmp_path / f"nonfinite_{bad}.txt"
+        nonfinite.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="non-finite value in layer 0 W"):
+            load_checkpoint(nonfinite)
+
 
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):

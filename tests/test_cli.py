@@ -60,6 +60,19 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_nonfinite_checkpoint_is_data_error(tmp_path, ws, capsys):
+    lines = (ws["train_dir"] / "checkpoint.txt").read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("param 0 lstm W_i")) + 1
+    lines[row] = " ".join(["nan"] + lines[row].split()[1:])
+    bad = tmp_path / "nan.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main(["evaluate", "--checkpoint", str(bad), "--data", str(ws["data"]),
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_DATA
+    assert "non-finite value in layer 0 W_i" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.txt").exists()
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, ws):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("bogus=3\n")

@@ -268,3 +268,45 @@ def test_spec_validation():
     spec = ModelSpec(input_dim=3, layers=[LayerSpec("lstm", units=4)])
     again = ModelSpec.from_dict(spec.to_dict())
     assert again.to_dict() == spec.to_dict()
+
+
+def test_from_flat_wraps_without_copying():
+    spec = ModelSpec(input_dim=3, layers=[
+        LayerSpec("lstm", units=4), LayerSpec("dropout", rate=0.2),
+        LayerSpec("gru", units=2), LayerSpec("dense", units=1),
+    ])
+    flat = np.arange(count_params(spec), dtype=np.float64)
+    params = ModelParams.from_flat(spec, flat)
+    lstm, drop, gru, dense = params.layers
+    assert drop is None
+    # the stacked kernel and bias are the named per-gate blocks, in order
+    assert np.array_equal(lstm.kernel, np.vstack([lstm.W_i, lstm.W_f, lstm.W_o, lstm.W_c]))
+    assert np.array_equal(gru.bias, np.concatenate([gru.b_z, gru.b_r, gru.b_h]))
+    assert lstm.W_i.shape == (4, 7) and gru.W_h.shape == (2, 6) and dense.W.shape == (1, 2)
+    for p in (lstm, gru, dense):
+        for name in p.FIELDS:
+            assert np.shares_memory(getattr(p, name), flat)
+    flat[0] = -1.0
+    assert lstm.W_i[0, 0] == -1.0
+    copy = params.flatten()
+    assert not np.shares_memory(copy, flat) and np.array_equal(copy, flat)
+    with pytest.raises(ValueError):
+        ModelParams.from_flat(spec, flat[:-1])
+    with pytest.raises(ValueError):
+        ModelParams.from_flat(spec, flat.reshape(1, -1))
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_forward_without_caches_is_bitwise_equal(cell, mode):
+    spec = reference_model(cell=cell)
+    params = build_model(spec, init_seed=3)
+    rng = np.random.default_rng(3)
+    feats = rng.normal(0, 1, size=(3, 12, 9))
+    mask = np.ones((3, 12))
+    mask[1, 7:] = 0.0
+    with_caches, caches = forward(params, feats, mask, mode=mode, rng=np.random.default_rng(5))
+    without, none = forward(params, feats, mask, mode=mode, rng=np.random.default_rng(5), want_cache=False)
+    assert all(c is not None for c in caches)
+    assert none == [None] * len(spec.layers)
+    assert with_caches.tobytes() == without.tobytes()

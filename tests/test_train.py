@@ -1,5 +1,7 @@
 """Training loop behavior: determinism, lr=0, patience, history export, evaluate."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,11 @@ def test_export_history_format(tmp_path):
     fields = lines[2].split()
     assert fields[0] == "1" and float(fields[1]) == 2.0 and float(fields[2]) == 2.5
     assert len(lines) == 4
+
+
+def test_train_submodule_is_importable_as_a_module():
+    # The package re-exports nothing, so no function shadows the submodule.
+    import pournet.train as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.train is train

@@ -12,12 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import grid as grid_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
-    PaddedBatch,
     apply_normalizer,
     fit_normalizer,
     load_manifest,
@@ -28,16 +25,8 @@ from .data import (
     split_dataset,
 )
 from .errors import DatasetFormatError, NumericalError
-from .grad import FD_STEP, FD_TOL, backward, check_gradients, frozen_dropout_masks
-from .nn import (
-    LayerSpec,
-    ModelParams,
-    ModelSpec,
-    build_model,
-    forward as nn_forward,
-    model_forward,
-    reference_model,
-)
+from .grad import FD_STEP, FD_TOL, check_gradients, gradcheck_case
+from .nn import ModelSpec, model_forward, reference_model
 from .simulate import SimRanges, TrajectoryConfig, default_ranges, generate_dataset
 from .train import TrainConfig, evaluate, export_history, train
 
@@ -439,73 +428,6 @@ def run_predict(args) -> int:
 # gradcheck
 
 
-def _kink_margin(params, batch, dropout_masks):
-    """(margin, liveness) of a candidate check point.
-
-    margin is the distance of the closest relu or hard_sigmoid preactivation
-    to its kink, over valid timesteps only; liveness is the largest absolute
-    prediction. Central differences are only trustworthy when the finite-h
-    window cannot straddle a kink, so check points need a healthy margin.
-    """
-    preds, caches = nn_forward(params, batch.features, batch.mask,
-                               mode="train", dropout_masks=dropout_masks)
-    valid = batch.mask > 0.5
-    margin = np.inf
-    for layer, cache in zip(params.spec.layers, caches):
-        if layer.kind == "dense" and layer.activation == "relu":
-            margin = min(margin, np.abs(cache["A"][valid]).min())
-        elif layer.kind == "lstm" and layer.recurrent_activation == "hard_sigmoid":
-            gate_pre = cache["A"][valid][:, : 3 * layer.units]
-            margin = min(margin, np.abs(np.abs(gate_pre) - 2.5).min())
-        elif layer.kind == "gru" and layer.recurrent_activation == "hard_sigmoid":
-            margin = min(margin, np.abs(np.abs(cache["Azr"][valid]) - 2.5).min())
-    return margin, np.abs(preds[valid]).max()
-
-
-def _gradcheck_case(cell: str, seed: int):
-    """Small random model and batch: 3 features, 4 units, 7 steps, 2 sequences."""
-    rnn = lambda: LayerSpec(cell, units=4, activation="tanh", recurrent_activation="hard_sigmoid")
-    spec = ModelSpec(
-        input_dim=3,
-        layers=[rnn(), LayerSpec("dense", units=1, activation="relu"), rnn(),
-                LayerSpec("dropout", rate=0.2), LayerSpec("dense", units=1, activation="relu")],
-    )
-    rng = np.random.default_rng(seed)
-    n, t_len = 2, 7
-    features = rng.normal(0.0, 1.0, size=(n, t_len, spec.input_dim))
-    targets = rng.normal(0.5, 0.5, size=(n, t_len, 1))
-    mask = np.ones((n, t_len))
-    mask[1, 5:] = 0.0  # second sequence is shorter; padding must stay inert
-    features[1, 5:, :] = 0.0
-    targets[1, 5:, :] = 0.0
-    batch = PaddedBatch(features=features, targets=targets, mask=mask,
-                        lengths=np.array([7, 5], dtype=np.int64))
-    masks = frozen_dropout_masks(spec, batch, np.random.default_rng(seed + 1))
-    # The freshly built model is a degenerate check point: zero biases plus
-    # relu park whole activation blocks exactly on kinks, where central
-    # differences and any chosen subgradient legitimately disagree. Jitter
-    # until the point is generic: every kink cleared by a wide margin, the
-    # output alive, and every coordinate's gradient above the resolution of
-    # central differences (a loss of scale ~1 at h=1e-5 carries ~1e-11 of
-    # float64 noise, so coordinates under ~1e-6 compare noise, not calculus;
-    # a dead middle relu even zeroes the whole upstream gradient, making the
-    # check vacuous there). The jitter widens every 16 attempts.
-    base = build_model(spec, init_seed=seed).flatten()
-    for attempt in range(256):
-        scale = 0.1 * 1.3 ** (attempt // 16)
-        candidate = ModelParams.from_flat(spec, base + rng.normal(0.0, scale, size=base.size))
-        margin, live = _kink_margin(candidate, batch, masks)
-        if margin <= 2e-3 or live <= 1e-2:
-            continue
-        gmin = min(
-            np.abs(backward(candidate, batch, kind, mode="train", dropout_masks=masks)[1]).min()
-            for kind in ("mse", "euclidean")
-        )
-        if gmin > 2e-6:
-            return candidate, batch, masks
-    raise NumericalError(f"no generic check point found for {cell} (seed {seed})")
-
-
 def run_gradcheck(args) -> int:
     if args.h <= 0 or args.tol <= 0:
         raise UsageError("--h and --tol must be > 0")
@@ -515,7 +437,7 @@ def run_gradcheck(args) -> int:
     failures = []
     for cell in ("lstm", "gru"):
         for loss in ("mse", "euclidean"):
-            params, batch, masks = _gradcheck_case(cell, args.seed)
+            params, batch, masks = gradcheck_case(cell, args.seed)
             worst_err, worst_coord = check_gradients(params, batch, loss, h=args.h,
                                                      dropout_masks=masks)
             verdict = "PASS" if worst_err < args.tol else "FAIL"

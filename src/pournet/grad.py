@@ -1,9 +1,11 @@
-"""Exact backpropagation through the stacked model, and the independent
-finite-difference oracle used to check it."""
+"""Exact backpropagation through the stacked model, the independent
+finite-difference oracle used to check it, and the kink-free check points
+that `pournet gradcheck` runs it on."""
 
 import numpy as np
 
 from . import nn
+from .data import PaddedBatch
 from .errors import NumericalError
 from .losses import loss_and_grad
 
@@ -98,3 +100,70 @@ def check_gradients(params, batch, loss_kind: str, h: float = FD_STEP,
     errors = relative_gradient_errors(analytic, numeric)
     worst = int(np.argmax(errors))
     return float(errors[worst]), worst
+
+
+def _kink_margin(params, batch, dropout_masks):
+    """(margin, liveness) of a candidate check point.
+
+    margin is the distance of the closest relu or hard_sigmoid preactivation
+    to its kink, over valid timesteps only; liveness is the largest absolute
+    prediction. Central differences are only trustworthy when the finite-h
+    window cannot straddle a kink, so check points need a healthy margin.
+    """
+    preds, caches = nn.forward(params, batch.features, batch.mask,
+                               mode="train", dropout_masks=dropout_masks)
+    valid = batch.mask > 0.5
+    margin = np.inf
+    for layer, cache in zip(params.spec.layers, caches):
+        if layer.kind == "dense" and layer.activation == "relu":
+            margin = min(margin, np.abs(cache["A"][valid]).min())
+        elif layer.kind == "lstm" and layer.recurrent_activation == "hard_sigmoid":
+            gate_pre = cache["A"][valid][:, : 3 * layer.units]
+            margin = min(margin, np.abs(np.abs(gate_pre) - 2.5).min())
+        elif layer.kind == "gru" and layer.recurrent_activation == "hard_sigmoid":
+            margin = min(margin, np.abs(np.abs(cache["Azr"][valid]) - 2.5).min())
+    return margin, np.abs(preds[valid]).max()
+
+
+def gradcheck_case(cell: str, seed: int):
+    """Small random model and batch: 3 features, 4 units, 7 steps, 2 sequences."""
+    rnn = lambda: nn.LayerSpec(cell, units=4, activation="tanh", recurrent_activation="hard_sigmoid")
+    spec = nn.ModelSpec(
+        input_dim=3,
+        layers=[rnn(), nn.LayerSpec("dense", units=1, activation="relu"), rnn(),
+                nn.LayerSpec("dropout", rate=0.2), nn.LayerSpec("dense", units=1, activation="relu")],
+    )
+    rng = np.random.default_rng(seed)
+    n, t_len = 2, 7
+    features = rng.normal(0.0, 1.0, size=(n, t_len, spec.input_dim))
+    targets = rng.normal(0.5, 0.5, size=(n, t_len, 1))
+    mask = np.ones((n, t_len))
+    mask[1, 5:] = 0.0  # second sequence is shorter; padding must stay inert
+    features[1, 5:, :] = 0.0
+    targets[1, 5:, :] = 0.0
+    batch = PaddedBatch(features=features, targets=targets, mask=mask,
+                        lengths=np.array([7, 5], dtype=np.int64))
+    masks = frozen_dropout_masks(spec, batch, np.random.default_rng(seed + 1))
+    # The freshly built model is a degenerate check point: zero biases plus
+    # relu park whole activation blocks exactly on kinks, where central
+    # differences and any chosen subgradient legitimately disagree. Jitter
+    # until the point is generic: every kink cleared by a wide margin, the
+    # output alive, and every coordinate's gradient above the resolution of
+    # central differences (a loss of scale ~1 at h=1e-5 carries ~1e-11 of
+    # float64 noise, so coordinates under ~1e-6 compare noise, not calculus;
+    # a dead middle relu even zeroes the whole upstream gradient, making the
+    # check vacuous there). The jitter widens every 16 attempts.
+    base = nn.build_model(spec, init_seed=seed).flatten()
+    for attempt in range(256):
+        scale = 0.1 * 1.3 ** (attempt // 16)
+        candidate = nn.ModelParams.from_flat(spec, base + rng.normal(0.0, scale, size=base.size))
+        margin, live = _kink_margin(candidate, batch, masks)
+        if margin <= 2e-3 or live <= 1e-2:
+            continue
+        gmin = min(
+            np.abs(backward(candidate, batch, kind, mode="train", dropout_masks=masks)[1]).min()
+            for kind in ("mse", "euclidean")
+        )
+        if gmin > 2e-6:
+            return candidate, batch, masks
+    raise NumericalError(f"no generic check point found for {cell} (seed {seed})")

@@ -15,11 +15,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 ACTIVATION_KINDS = ("linear", "relu", "tanh", "sigmoid", "hard_sigmoid")
 RECURRENT_ACTIVATIONS = ("hard_sigmoid", "sigmoid")
 LAYER_KINDS = ("lstm", "gru", "dense", "dropout")
+# model_forward scores at most this many sequences per forward pass.
+_CHUNK_ROWS = 64
+
+
+def _sigmoid(x):
+    """Logistic function, 1 / (1 + exp(-x)), without overflow for any x."""
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def activation(kind: str, x):
@@ -32,7 +38,7 @@ def activation(kind: str, x):
     if kind == "tanh":
         return np.tanh(x)
     if kind == "sigmoid":
-        return expit(x)
+        return _sigmoid(x)
     if kind == "hard_sigmoid":
         # Piecewise-linear sigmoid: clamp(0.2 x + 0.5, 0, 1).
         return np.clip(0.2 * x + 0.5, 0.0, 1.0)
@@ -53,7 +59,7 @@ def activation_grad(kind: str, preact, out=None):
         y = np.tanh(a) if out is None else out
         return 1.0 - y * y
     if kind == "sigmoid":
-        y = expit(a) if out is None else out
+        y = _sigmoid(a) if out is None else out
         return y * (1.0 - y)
     if kind == "hard_sigmoid":
         return 0.2 * (np.abs(a) < 2.5)
@@ -304,100 +310,6 @@ def build_model(spec: ModelSpec, init_seed: int = 0) -> ModelParams:
             if layer.kind == "lstm":
                 p.b_f[:] = 1.0
     return params
-
-
-# ---------------------------------------------------------------------------
-# Single-step cell ops
-
-
-def lstm_cell_step(params: LstmParams, x_t, h_prev, c_prev,
-                   recurrent_activation: str = "hard_sigmoid", cell_activation: str = "tanh"):
-    """One LSTM step on vectors.
-
-    z = [h_prev, x_t]; i, f, o = gate(W z + b); c~ = act(W_c z + b_c);
-    c_t = f * c_prev + i * c~; h_t = o * act(c_t).
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    z = np.concatenate([h_prev, x_t])
-    i = activation(recurrent_activation, params.W_i @ z + params.b_i)
-    f = activation(recurrent_activation, params.W_f @ z + params.b_f)
-    o = activation(recurrent_activation, params.W_o @ z + params.b_o)
-    cand = activation(cell_activation, params.W_c @ z + params.b_c)
-    c_t = f * c_prev + i * cand
-    h_t = o * activation(cell_activation, c_t)
-    return h_t, c_t
-
-
-def gru_cell_step(params: GruParams, x_t, h_prev,
-                  recurrent_activation: str = "sigmoid", cell_activation: str = "tanh"):
-    """One GRU step on vectors.
-
-    z = gate(W_z [h, x] + b_z); r = gate(W_r [h, x] + b_r);
-    h~ = act(W_h [r * h, x] + b_h); h_t = (1 - z) * h + z * h~.
-    """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    zx = np.concatenate([h_prev, x_t])
-    z = activation(recurrent_activation, params.W_z @ zx + params.b_z)
-    r = activation(recurrent_activation, params.W_r @ zx + params.b_r)
-    rx = np.concatenate([r * h_prev, x_t])
-    cand = activation(cell_activation, params.W_h @ rx + params.b_h)
-    return (1.0 - z) * h_prev + z * cand
-
-
-def recurrent_layer_forward(params, seq, mask=None, recurrent_activation=None, cell_activation="tanh"):
-    """Run one cell over a single [T, d] sequence; returns [T, units].
-
-    Masked steps (mask[t] == 0) leave the state untouched and emit zeros.
-    The default gate squashing is hard-sigmoid for LSTM and sigmoid for GRU,
-    matching the single-step ops.
-    """
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2:
-        raise ValueError("seq must be [T, d]")
-    t_len = seq.shape[0]
-    mask = np.ones(t_len) if mask is None else np.asarray(mask, dtype=np.float64)
-    if mask.shape != (t_len,):
-        raise ValueError("mask must be one value per timestep")
-    if isinstance(params, LstmParams):
-        kind = "lstm"
-        rec_act = "hard_sigmoid" if recurrent_activation is None else recurrent_activation
-    elif isinstance(params, GruParams):
-        kind = "gru"
-        rec_act = "sigmoid" if recurrent_activation is None else recurrent_activation
-    else:
-        raise TypeError(f"unsupported cell parameters: {type(params).__name__}")
-    layer = LayerSpec(kind, units=params.units, activation=cell_activation, recurrent_activation=rec_act)
-    forward = _lstm_layer_forward if kind == "lstm" else _gru_layer_forward
-    out, _ = forward(layer, params, seq[None, :, :], mask[None, :], want_cache=False)
-    return out[0]
-
-
-def dense_forward(W, b, x, activation_kind: str = "linear"):
-    """y = act(x W^T + b), applied to the trailing axis."""
-    x = np.asarray(x, dtype=np.float64)
-    return activation(activation_kind, x @ np.asarray(W).T + np.asarray(b))
-
-
-def dropout_forward(x, rate: float, mode: str, rng: np.random.Generator | None = None):
-    """Inverted dropout. Returns (y, kept_mask).
-
-    Train mode keeps each element with probability 1 - rate and scales by
-    1 / (1 - rate); eval mode is the exact identity with an all-ones mask.
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be train or eval (got {mode!r})")
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"rate must lie in [0, 1) (got {rate!r})")
-    x = np.asarray(x, dtype=np.float64)
-    if mode == "eval":
-        return x.copy(), np.ones_like(x, dtype=bool)
-    if rng is None:
-        raise ValueError("train-mode dropout needs an RNG")
-    kept = rng.random(x.shape) >= rate
-    return x * kept / (1.0 - rate), kept
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +570,16 @@ def model_forward(params: ModelParams, batch, mode: str = "eval",
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Predictions [n, max_len, output_dim] for a PaddedBatch.
 
-    Values at masked steps are defined but meant to be excluded by the mask
-    in any loss.
+    Rows run through `forward` in near-equal chunks of at most 64, so memory
+    stays bounded on large corpora. No chunk has a single row unless the
+    batch has one: a one-row chunk would turn the kernel products into
+    matrix-vector products, which round differently. Train-mode dropout draws
+    its masks chunk by chunk. Values at masked steps are defined but meant to
+    be excluded by the mask in any loss.
     """
-    preds, _ = forward(params, batch.features, batch.mask, mode=mode, rng=rng, want_cache=False)
-    return preds
+    n = batch.features.shape[0]
+    chunks = max(1, -(-n // _CHUNK_ROWS))
+    edges = [n * i // chunks for i in range(chunks + 1)]
+    preds = [forward(params, batch.features[lo:hi], batch.mask[lo:hi], mode=mode, rng=rng,
+                     want_cache=False)[0] for lo, hi in zip(edges, edges[1:])]
+    return preds[0] if chunks == 1 else np.concatenate(preds)

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .data import PourRecord
 
@@ -42,67 +41,74 @@ class CupGeometry:
         return math.pi * self.radius * self.radius * self.height
 
 
-def retained_volume(geometry: CupGeometry, tilt_deg: float) -> float:
+def retained_volume(geometry: CupGeometry, tilt_deg):
     """Largest volume (mm^3) the cup retains at a tilt from vertical (degrees).
 
-    The free surface is the plane through the low point of the rim. Three
-    regimes as tilt grows:
+    Accepts one tilt (returns a float) or an array of tilts (returns an array
+    of the same shape). The free surface is the plane through the low point
+    of the rim. Three regimes as tilt grows:
       tilt <= 0                 full cylinder,
       tan(tilt) <= H/(2R)       oblique slab cut, pi R^2 (H - R tan(tilt)),
-      tan(tilt) >  H/(2R)       hoof-shaped wedge, integrated numerically,
-    and zero at or past horizontal.
+      tan(tilt) >  H/(2R)       hoof-shaped wedge (see ungula_volume),
+    and zero at or past horizontal. A tilt so small that its tangent rounds
+    to zero keeps the full volume.
     """
-    if not np.isfinite(tilt_deg):
+    tilt = np.asarray(tilt_deg, dtype=np.float64)
+    if not np.all(np.isfinite(tilt)):
         raise ValueError(f"tilt must be finite (got {tilt_deg!r})")
-    r, h = geometry.radius, geometry.height
-    if tilt_deg <= 0.0:
-        return geometry.full_volume
-    if tilt_deg >= 90.0:
-        return 0.0
-    t = math.tan(math.radians(tilt_deg))
-    if t <= h / (2.0 * r):
-        return math.pi * r * r * (h - r * t)
-    return ungula_volume(r, h, t)
+    tan_tilt = np.tan(np.radians(np.where((tilt > 0.0) & (tilt < 90.0), tilt, 0.0)))
+    volume = np.where(tilt < 90.0, geometry.full_volume, 0.0)
+    live = tan_tilt > 0.0
+    volume[live] = ungula_volume(geometry.radius, geometry.height, tan_tilt[live])
+    return float(volume) if volume.ndim == 0 else volume
 
 
-def ungula_volume(radius: float, height: float, tan_tilt: float) -> float:
-    """Wedge volume by adaptive quadrature (relative tolerance 1e-8).
+# 16-node Gauss-Legendre rule on [-1, 1]. The wedge integrand below is smooth
+# on an interval no longer than pi, so this fixed rule sits at float64
+# round-off for every tilt.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-    The liquid column above the base point (x, y) has height
-    H - (R - x) tan_tilt, positive for x > a = R - H / tan_tilt, and the
-    chord width at x is 2 sqrt(R^2 - x^2). Substituting x = R sin(u) removes
-    the square root's endpoint slope. Valid whenever tan_tilt > 0; for
-    tan_tilt <= H/(2R) it reproduces the slab closed form.
+
+def ungula_volume(radius: float, height: float, tan_tilt) -> np.ndarray:
+    """Retained volume for an array of tilt tangents, all > 0.
+
+    Slab regime (2 R t <= H): pi R^2 (H - R t). Wedge regime: with the base
+    point x = R cos(v), the liquid column there has height
+    R t (cos v - cos phi) and the chord half-width is R sin v, where
+    sin(phi / 2) = sqrt(H / (2 R t)). Writing cos v - cos phi as a product of
+    sines keeps the integrand free of cancellation up to horizontal:
+      V = R^3 t * integral_0^phi 4 sin^2 v sin((phi + v)/2) sin((phi - v)/2) dv.
     """
-    if tan_tilt <= 0:
-        raise ValueError("ungula_volume needs a positive tangent")
-    a = radius - height / tan_tilt
-    u0 = math.asin(max(-1.0, a / radius))
-
-    def column(u):
-        s, c = math.sin(u), math.cos(u)
-        return 2.0 * radius * radius * c * c * (height - radius * (1.0 - s) * tan_tilt)
-
-    scale = math.pi * radius * radius * height
-    value, _ = quad(column, u0, math.pi / 2.0, epsabs=1e-12 * scale, epsrel=1e-8, limit=200)
-    return max(value, 0.0)
+    t = np.asarray(tan_tilt, dtype=np.float64)
+    if not np.all(t > 0.0):
+        raise ValueError("ungula_volume needs positive tangents")
+    out = math.pi * radius * radius * (height - radius * t)
+    wedge = t > height / (2.0 * radius)
+    tw = t[wedge]
+    phi = 2.0 * np.arcsin(np.sqrt(np.minimum(height / (2.0 * radius * tw), 1.0)))
+    half = 0.5 * phi
+    total = np.zeros_like(phi)
+    # One node at a time, so every tilt sees the same sequence of operations
+    # whatever the array's length.
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        v = half * (node + 1.0)
+        sin_v = np.sin(v)
+        total += weight * sin_v * sin_v * np.sin(0.5 * (phi + v)) * np.sin(0.5 * (phi - v))
+    out[wedge] = 4.0 * radius ** 3 * tw * half * total
+    return out
 
 
 def quasi_static_pour(geometry: CupGeometry, tilt_series, v0: float) -> np.ndarray:
     """Liquid volume after each step of a tilt sequence (degrees, 0 = upright).
 
-    V_t = min(V_{t-1}, retained_volume(tilt_t)); spilled liquid never returns,
-    so the result is non-increasing regardless of tilt wobble.
+    V_t = min(V_{t-1}, retained_volume(tilt_t)) with V_{-1} = v0; spilled
+    liquid never returns, so the result is non-increasing regardless of tilt
+    wobble.
     """
     if not (np.isfinite(v0) and v0 >= 0):
         raise ValueError(f"initial volume must be >= 0 (got {v0!r})")
     tilts = np.asarray(tilt_series, dtype=np.float64)
-    out = np.empty(tilts.shape[0], dtype=np.float64)
-    level = float(v0)
-    for i, tilt in enumerate(tilts):
-        level = min(level, retained_volume(geometry, float(tilt)))
-        out[i] = level
-    return out
+    return np.minimum.accumulate(np.minimum(retained_volume(geometry, tilts), float(v0)))
 
 
 def weight_from_volume(volume, rho_rel: float, f_cup_empty: float):

@@ -2,18 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pournet.data import PaddedBatch
 from pournet.errors import NumericalError
 from pournet.grad import (
-    FD_STEP,
     FD_TOL,
     backward,
     check_gradients,
     finite_diff_grad,
     frozen_dropout_masks,
+    gradcheck_case,
     relative_gradient_errors,
 )
 from pournet.nn import LayerSpec, ModelParams, ModelSpec, count_params
@@ -78,16 +78,39 @@ def test_residual_sign_flip_negates_mse_gradient():
     assert np.allclose(g_up, -g_down, rtol=1e-10, atol=1e-12)
 
 
-# Property route: random small models with smooth activations, where central
+def fourth_order_grad(loss_fn, flat_params, h=1e-3):
+    """Five-point central-difference gradient: truncation error O(h^4), so a
+    wider step keeps float64 noise in the loss differences far below the
+    bar."""
+    flat = np.asarray(flat_params, dtype=np.float64)
+    grad = np.empty_like(flat)
+    probe = flat.copy()
+    for i in range(flat.size):
+        values = []
+        for step in (-2.0 * h, -h, h, 2.0 * h):
+            probe[i] = flat[i] + step
+            values.append(loss_fn(probe))
+        probe[i] = flat[i]
+        grad[i] = (values[0] - 8.0 * values[1] + 8.0 * values[2] - values[3]) / (12.0 * h)
+    return grad
+
+
+# Property route: random small models with smooth activations, where finite
 # differences are a clean oracle. The kinked production activations are pinned
-# separately through the CLI gradcheck cases (kink-free point selection).
-# Two-tier criterion: a loss of scale ~1 gives central differences an absolute
-# noise floor near eps*|L|/(2h) ~ 5e-12, so coordinates whose gradient sits
-# under ~1e-6 cannot meet a purely relative bar at h=1e-5; they get an
-# absolute one instead.
+# separately through the gradcheck cases (kink-free point selection).
+# The oracle is a fourth-order stencil at h=1e-3: for a loss of scale ~1 its
+# float64 noise is near 18*eps*|L|/(12h) ~ 3e-13 and its truncation error of
+# order h^4 ~ 1e-12. The production second-order stencil at h=1e-5 carries
+# ~5e-12 of noise, enough to push gradients just above 1e-6 past the relative
+# bar. Coordinates whose gradient sits under ~1e-6 get an absolute bar.
 @given(seed=st.integers(0, 10_000),
        cell=st.sampled_from(["lstm", "gru"]),
        kind=st.sampled_from(["mse", "euclidean"]))
+@example(seed=3421, cell="lstm", kind="euclidean")
+@example(seed=638, cell="lstm", kind="mse")
+@example(seed=2681, cell="lstm", kind="euclidean")
+@example(seed=480, cell="gru", kind="euclidean")
+@example(seed=6959, cell="gru", kind="euclidean")
 @settings(max_examples=25, deadline=None)
 def test_gradient_fidelity_random_small_models(seed, cell, kind):
     rng = np.random.default_rng(seed)
@@ -100,9 +123,9 @@ def test_gradient_fidelity_random_small_models(seed, cell, kind):
     params = ModelParams.from_flat(spec, rng.normal(0, 0.6, count_params(spec)))
     batch = small_batch(rng, t_len=int(rng.integers(3, 8)))
     _, analytic = backward(params, batch, kind, mode="eval")
-    numeric = finite_diff_grad(
+    numeric = fourth_order_grad(
         lambda v: backward(ModelParams.from_flat(spec, v), batch, kind, mode="eval")[0],
-        params.flatten(), h=FD_STEP)
+        params.flatten())
     errs = relative_gradient_errors(analytic, numeric)
     resolvable = (np.abs(analytic) + np.abs(numeric)) >= 1e-6
     if resolvable.any():
@@ -113,11 +136,9 @@ def test_gradient_fidelity_random_small_models(seed, cell, kind):
 
 def test_check_gradients_production_activations_pinned_seed():
     # hard_sigmoid gates and relu dense, at a point far from every kink
-    from pournet.cli import _gradcheck_case
-
     for cell in ("lstm", "gru"):
         for kind in ("mse", "euclidean"):
-            params, batch, masks = _gradcheck_case(cell, 0)
+            params, batch, masks = gradcheck_case(cell, 0)
             worst, coord = check_gradients(params, batch, kind, dropout_masks=masks)
             assert worst < FD_TOL, f"{cell}/{kind} coord {coord}: {worst}"
 

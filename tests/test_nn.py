@@ -1,5 +1,7 @@
 """Cells, layers, the preset architecture, initialization, and forward semantics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,24 +9,116 @@ from hypothesis import strategies as st
 
 from pournet.data import PaddedBatch
 from pournet.nn import (
+    GruParams,
     LayerSpec,
+    LstmParams,
     ModelParams,
     ModelSpec,
+    _gru_layer_forward,
+    _lstm_layer_forward,
     activation,
     build_model,
     count_params,
-    dense_forward,
-    dropout_forward,
     forward,
-    gru_cell_step,
     layer_param_counts,
-    lstm_cell_step,
     model_forward,
-    recurrent_layer_forward,
     reference_model,
 )
 
 REFERENCE_COUNTS = [1664, 2112, 2112, 2112, 17, 1152, 0, 17]
+
+# Vector-level helpers used only by these tests: single cell steps written from
+# the cell equations, one sequence through a batched layer, dense and dropout.
+
+
+def lstm_cell_step(params: LstmParams, x_t, h_prev, c_prev,
+                   recurrent_activation: str = "hard_sigmoid", cell_activation: str = "tanh"):
+    """One LSTM step on vectors.
+
+    z = [h_prev, x_t]; i, f, o = gate(W z + b); c~ = act(W_c z + b_c);
+    c_t = f * c_prev + i * c~; h_t = o * act(c_t).
+    """
+    x_t = np.asarray(x_t, dtype=np.float64)
+    h_prev = np.asarray(h_prev, dtype=np.float64)
+    c_prev = np.asarray(c_prev, dtype=np.float64)
+    z = np.concatenate([h_prev, x_t])
+    i = activation(recurrent_activation, params.W_i @ z + params.b_i)
+    f = activation(recurrent_activation, params.W_f @ z + params.b_f)
+    o = activation(recurrent_activation, params.W_o @ z + params.b_o)
+    cand = activation(cell_activation, params.W_c @ z + params.b_c)
+    c_t = f * c_prev + i * cand
+    h_t = o * activation(cell_activation, c_t)
+    return h_t, c_t
+
+
+def gru_cell_step(params: GruParams, x_t, h_prev,
+                  recurrent_activation: str = "sigmoid", cell_activation: str = "tanh"):
+    """One GRU step on vectors.
+
+    z = gate(W_z [h, x] + b_z); r = gate(W_r [h, x] + b_r);
+    h~ = act(W_h [r * h, x] + b_h); h_t = (1 - z) * h + z * h~.
+    """
+    x_t = np.asarray(x_t, dtype=np.float64)
+    h_prev = np.asarray(h_prev, dtype=np.float64)
+    zx = np.concatenate([h_prev, x_t])
+    z = activation(recurrent_activation, params.W_z @ zx + params.b_z)
+    r = activation(recurrent_activation, params.W_r @ zx + params.b_r)
+    rx = np.concatenate([r * h_prev, x_t])
+    cand = activation(cell_activation, params.W_h @ rx + params.b_h)
+    return (1.0 - z) * h_prev + z * cand
+
+
+def recurrent_layer_forward(params, seq, mask=None, recurrent_activation=None, cell_activation="tanh"):
+    """Run one cell over a single [T, d] sequence; returns [T, units].
+
+    Masked steps (mask[t] == 0) leave the state untouched and emit zeros.
+    The default gate squashing is hard-sigmoid for LSTM and sigmoid for GRU,
+    matching the single-step ops.
+    """
+    seq = np.asarray(seq, dtype=np.float64)
+    if seq.ndim != 2:
+        raise ValueError("seq must be [T, d]")
+    t_len = seq.shape[0]
+    mask = np.ones(t_len) if mask is None else np.asarray(mask, dtype=np.float64)
+    if mask.shape != (t_len,):
+        raise ValueError("mask must be one value per timestep")
+    if isinstance(params, LstmParams):
+        kind = "lstm"
+        rec_act = "hard_sigmoid" if recurrent_activation is None else recurrent_activation
+    elif isinstance(params, GruParams):
+        kind = "gru"
+        rec_act = "sigmoid" if recurrent_activation is None else recurrent_activation
+    else:
+        raise TypeError(f"unsupported cell parameters: {type(params).__name__}")
+    layer = LayerSpec(kind, units=params.units, activation=cell_activation, recurrent_activation=rec_act)
+    forward = _lstm_layer_forward if kind == "lstm" else _gru_layer_forward
+    out, _ = forward(layer, params, seq[None, :, :], mask[None, :], want_cache=False)
+    return out[0]
+
+
+def dense_forward(W, b, x, activation_kind: str = "linear"):
+    """y = act(x W^T + b), applied to the trailing axis."""
+    x = np.asarray(x, dtype=np.float64)
+    return activation(activation_kind, x @ np.asarray(W).T + np.asarray(b))
+
+
+def dropout_forward(x, rate: float, mode: str, rng: np.random.Generator | None = None):
+    """Inverted dropout. Returns (y, kept_mask).
+
+    Train mode keeps each element with probability 1 - rate and scales by
+    1 / (1 - rate); eval mode is the exact identity with an all-ones mask.
+    """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be train or eval (got {mode!r})")
+    if not (0.0 <= rate < 1.0):
+        raise ValueError(f"rate must lie in [0, 1) (got {rate!r})")
+    x = np.asarray(x, dtype=np.float64)
+    if mode == "eval":
+        return x.copy(), np.ones_like(x, dtype=bool)
+    if rng is None:
+        raise ValueError("train-mode dropout needs an RNG")
+    kept = rng.random(x.shape) >= rate
+    return x * kept / (1.0 - rate), kept
 
 
 def test_activation_values():
@@ -35,6 +129,10 @@ def test_activation_values():
     assert activation("hard_sigmoid", np.array([4.0]))[0] == 1.0
     assert activation("tanh", np.array([0.0]))[0] == 0.0
     assert activation("sigmoid", np.array([0.0]))[0] == 0.5
+    with np.errstate(over="raise", invalid="raise"):
+        assert np.array_equal(activation("sigmoid", np.array([-1000.0, 1000.0])), [0.0, 1.0])
+    x = np.linspace(-20.0, 20.0, 401)
+    assert np.allclose(activation("sigmoid", x), [1.0 / (1.0 + math.exp(-v)) for v in x], rtol=1e-14, atol=0)
     assert np.array_equal(activation("linear", np.array([-3.0, 3.0])), [-3.0, 3.0])
     with pytest.raises(ValueError):
         activation("softmax", np.zeros(1))
@@ -310,3 +408,18 @@ def test_forward_without_caches_is_bitwise_equal(cell, mode):
     assert all(c is not None for c in caches)
     assert none == [None] * len(spec.layers)
     assert with_caches.tobytes() == without.tobytes()
+
+
+def test_model_forward_chunks_match_one_whole_batch_pass():
+    # 130 rows run as chunks of 44, 43 and 43
+    spec = reference_model()
+    params = build_model(spec, init_seed=4)
+    rng = np.random.default_rng(4)
+    n, t_len = 130, 9
+    feats = rng.normal(0, 1, size=(n, t_len, 9))
+    lengths = rng.integers(1, t_len + 1, size=n)
+    mask = (np.arange(t_len)[None, :] < lengths[:, None]).astype(np.float64)
+    feats *= mask[:, :, None]
+    batch = PaddedBatch(features=feats, targets=np.zeros((n, t_len, 1)), mask=mask, lengths=lengths)
+    whole, _ = forward(params, feats, mask, mode="eval", want_cache=False)
+    assert model_forward(params, batch).tobytes() == whole.tobytes()

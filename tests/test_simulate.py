@@ -1,10 +1,16 @@
 """Physics oracle tests: closed forms, an independent quadrature route, invariants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pournet
 from pournet.simulate import (
     CupGeometry,
     SimRanges,
@@ -56,7 +62,7 @@ def test_slab_formula_many_random_geometries():
 
 def test_deep_regime_against_midpoint_rule():
     # Independent oracle: brute-force midpoint sum over the ungula cross
-    # sections, no shared code with the adaptive quadrature route.
+    # sections, no shared code with the Gauss-Legendre route.
     cases = [(1.0, 2.0, 70.0), (35.0, 110.0, 80.0), (50.0, 90.0, 55.0), (20.0, 140.0, 77.0)]
     for r, h, tilt in cases:
         tan_t = np.tan(np.radians(tilt))
@@ -94,8 +100,33 @@ def test_negative_and_post_horizontal_tilt():
     assert retained_volume(g, -15.0) == pytest.approx(g.full_volume, rel=1e-12)
     assert retained_volume(g, 90.0) == 0.0
     assert retained_volume(g, 120.0) == 0.0
+    # tan(radians(5e-324)) rounds to 0: a subnormal tilt keeps everything
+    assert retained_volume(g, 5e-324) == g.full_volume
     with pytest.raises(ValueError):
         retained_volume(g, float("nan"))
+    with pytest.raises(ValueError):
+        retained_volume(g, np.array([10.0, np.inf]))
+
+
+@pytest.mark.parametrize("radius, height", [(25.0, 90.0), (1.0, 2.0), (55.0, 80.0), (5.0, 150.0)])
+def test_near_horizontal_tilts_stay_in_range(radius, height):
+    g = CupGeometry(radius=radius, height=height)
+    tilts = 90.0 - 10.0 ** -np.arange(1.0, 15.0)
+    vols = retained_volume(g, tilts)
+    assert np.all(vols >= 0.0)
+    assert np.all(vols <= g.full_volume)
+    assert np.all(np.diff(vols) <= 0.0)
+
+
+def test_array_call_equals_scalar_calls_bitwise():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        g = CupGeometry(radius=rng.uniform(5.0, 80.0), height=rng.uniform(10.0, 160.0))
+        tilts = np.concatenate([rng.uniform(-5.0, 95.0, 200), 90.0 - 10.0 ** -np.arange(1.0, 15.0),
+                                [0.0, 5e-324, 45.0, 90.0]])
+        scalars = [retained_volume(g, float(t)) for t in tilts]
+        assert all(isinstance(v, float) for v in scalars)
+        assert retained_volume(g, tilts).tobytes() == np.array(scalars).tobytes()
 
 
 @given(tilt_a=st.floats(0.0, 90.0), tilt_b=st.floats(0.0, 90.0))
@@ -125,6 +156,13 @@ def test_pour_is_a_running_min():
     spill = quasi_static_pour(g, [0.0, 40.0, 70.0, 30.0, 0.0], g.full_volume)
     assert np.all(np.diff(spill) <= 0.0)
     assert spill[-1] == spill[2]
+    # bitwise a running minimum of the per-step capacities, started at v0
+    tilts = np.random.default_rng(3).uniform(-5.0, 95.0, size=300)
+    level, expect = 0.9 * g.full_volume, []
+    for tilt in tilts:
+        level = min(level, retained_volume(g, float(tilt)))
+        expect.append(level)
+    assert quasi_static_pour(g, tilts, 0.9 * g.full_volume).tobytes() == np.array(expect).tobytes()
 
 
 @given(seed=st.integers(0, 10_000))
@@ -236,3 +274,34 @@ def test_sim_ranges_validation_and_round_trip():
     ranges = default_ranges()
     again = SimRanges.from_dict(ranges.to_dict())
     assert again == ranges
+
+
+_NO_SCIPY = """
+import importlib, pkgutil, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+    raise SystemExit("the scipy block did not take effect")
+except ImportError:
+    pass
+import pournet
+names = [info.name for info in pkgutil.iter_modules(pournet.__path__)]
+for name in names:
+    importlib.import_module("pournet." + name)
+print(" ".join(sorted(names)))
+"""
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(pournet.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert {"cli", "grad", "nn", "simulate", "train"} <= set(done.stdout.split())

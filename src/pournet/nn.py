@@ -16,54 +16,80 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATION_KINDS = ("linear", "relu", "tanh", "sigmoid", "hard_sigmoid")
 RECURRENT_ACTIVATIONS = ("hard_sigmoid", "sigmoid")
 LAYER_KINDS = ("lstm", "gru", "dense", "dropout")
 # model_forward scores at most this many sequences per forward pass.
 _CHUNK_ROWS = 64
 
 
-def _sigmoid(x):
+def _linear(x, out):
+    out[...] = x
+    return out
+
+
+def _relu(x, out):
+    return np.maximum(x, 0.0, out=out)
+
+
+def _sigmoid(x, out):
     """Logistic function, 1 / (1 + exp(-x)), without overflow for any x."""
-    return np.exp(-np.logaddexp(0.0, -x))
+    np.negative(x, out=out)
+    np.logaddexp(0.0, out, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
+
+
+def _hard_sigmoid(x, out):
+    """Piecewise-linear sigmoid: clamp(0.2 x + 0.5, 0, 1)."""
+    np.multiply(x, 0.2, out=out)
+    np.add(out, 0.5, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, 1.0, out=out)
+
+
+def _ones(preact, value, out):
+    out.fill(1.0)
+    return out
+
+
+def _relu_grad(preact, value, out):
+    return np.greater(preact, 0.0, out=out)
+
+
+def _tanh_grad(preact, value, out):
+    np.multiply(value, value, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
+def _sigmoid_grad(preact, value, out):
+    np.subtract(1.0, value, out=out)
+    return np.multiply(value, out, out=out)
+
+
+def _hard_sigmoid_grad(preact, value, out):
+    np.abs(preact, out=out)
+    np.less(out, 2.5, out=out)
+    return np.multiply(out, 0.2, out=out)
+
+
+# Each activation kind as (value, derivative), both writing into a caller's
+# buffer: value(x, out) and derivative(preact, value, out).
+_ACTIVATIONS = {
+    "linear": (_linear, _ones),
+    "relu": (_relu, _relu_grad),
+    "tanh": (np.tanh, _tanh_grad),
+    "sigmoid": (_sigmoid, _sigmoid_grad),
+    "hard_sigmoid": (_hard_sigmoid, _hard_sigmoid_grad),
+}
+ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 
 
 def activation(kind: str, x):
     """Apply a named activation elementwise."""
+    if kind not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation kind {kind!r}")
     x = np.asarray(x, dtype=np.float64)
-    if kind == "linear":
-        return x.copy()
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "tanh":
-        return np.tanh(x)
-    if kind == "sigmoid":
-        return _sigmoid(x)
-    if kind == "hard_sigmoid":
-        # Piecewise-linear sigmoid: clamp(0.2 x + 0.5, 0, 1).
-        return np.clip(0.2 * x + 0.5, 0.0, 1.0)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
-def activation_grad(kind: str, preact, out=None):
-    """Elementwise derivative, evaluated from the preactivation.
-
-    `out` may pass the already-computed activation to avoid recomputing it.
-    """
-    a = np.asarray(preact, dtype=np.float64)
-    if kind == "linear":
-        return np.ones_like(a)
-    if kind == "relu":
-        return (a > 0.0).astype(np.float64)
-    if kind == "tanh":
-        y = np.tanh(a) if out is None else out
-        return 1.0 - y * y
-    if kind == "sigmoid":
-        y = _sigmoid(a) if out is None else out
-        return y * (1.0 - y)
-    if kind == "hard_sigmoid":
-        return 0.2 * (np.abs(a) < 2.5)
-    raise ValueError(f"unknown activation kind {kind!r}")
+    return _ACTIVATIONS[kind][0](x, np.empty_like(x))
 
 
 # ---------------------------------------------------------------------------
@@ -313,180 +339,327 @@ def build_model(spec: ModelSpec, init_seed: int = 0) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Batched layer forwards (caches optional) and backwards into gradient views
+# Recurrent runs as one wavefront, dense layers over the whole sequence;
+# caches optional, backwards writing into gradient views
 
 
-def _lstm_layer_forward(layer: LayerSpec, params: LstmParams, x, mask, want_cache: bool):
-    n, t_len, _ = x.shape
-    u = params.units
-    wh, wx = params.kernel[:, :u], params.kernel[:, u:]
-    xa = x @ wx.T + params.bias  # [n, T, 4u]
-    h = np.zeros((n, u))
-    c = np.zeros((n, u))
-    out = np.zeros((n, t_len, u))
-    cache = None
-    if want_cache:
-        cache = {
-            "x": x,
-            "mask": mask,
-            "A": np.empty((n, t_len, 4 * u)),
-            "G": np.empty((n, t_len, 4 * u)),
-            "Hp": np.empty((n, t_len, u)),
-            "Cp": np.empty((n, t_len, u)),
-            "Cn": np.empty((n, t_len, u)),
-            "TC": np.empty((n, t_len, u)),
-        }
-    for step in range(t_len):
-        a = xa[:, step] + h @ wh.T
-        gates = np.empty_like(a)
-        gates[:, : 3 * u] = activation(layer.recurrent_activation, a[:, : 3 * u])
-        gates[:, 3 * u :] = activation(layer.activation, a[:, 3 * u :])
-        i_g = gates[:, :u]
-        f_g = gates[:, u : 2 * u]
-        o_g = gates[:, 2 * u : 3 * u]
-        cand = gates[:, 3 * u :]
-        c_new = f_g * c + i_g * cand
-        tc = activation(layer.activation, c_new)
-        h_new = o_g * tc
-        m = mask[:, step, None]
-        if want_cache:
-            cache["Hp"][:, step] = h
-            cache["Cp"][:, step] = c
-            cache["A"][:, step] = a
-            cache["G"][:, step] = gates
-            cache["Cn"][:, step] = c_new
-            cache["TC"][:, step] = tc
-        out[:, step] = m * h_new
-        h = m * h_new + (1.0 - m) * h
-        c = m * c_new + (1.0 - m) * c
-    return out, cache
+def _runs(layers) -> list:
+    """[start, stop) layer index pairs: each maximal run of consecutive
+    recurrent layers that share kind, units and activations, and every dense
+    or dropout layer on its own."""
+    runs = []
+    prev = None
+    for i, layer in enumerate(layers):
+        key = (layer.kind, layer.units, layer.activation, layer.recurrent_activation)
+        if layer.kind in _RUN_FORWARD and key == prev:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+        prev = key
+    return runs
 
 
-def _lstm_layer_backward(layer: LayerSpec, params: LstmParams, cache, dout, grads: LstmParams):
-    x, mask = cache["x"], cache["mask"]
-    n, t_len, d = x.shape
-    u = params.units
-    wh, wx = params.kernel[:, :u], params.kernel[:, u:]
-    d_a = np.zeros((n, t_len, 4 * u))
-    dh = np.zeros((n, u))
-    dc = np.zeros((n, u))
-    for step in reversed(range(t_len)):
-        m = mask[:, step, None]
-        gates = cache["G"][:, step]
-        i_g = gates[:, :u]
-        f_g = gates[:, u : 2 * u]
-        o_g = gates[:, 2 * u : 3 * u]
-        cand = gates[:, 3 * u :]
-        tc = cache["TC"][:, step]
-        dh_new = m * (dh + dout[:, step])
-        dc_new = m * dc + dh_new * o_g * activation_grad(layer.activation, cache["Cn"][:, step], tc)
-        d_gates = np.empty((n, 4 * u))
-        d_gates[:, :u] = dc_new * cand  # input gate
-        d_gates[:, u : 2 * u] = dc_new * cache["Cp"][:, step]  # forget gate
-        d_gates[:, 2 * u : 3 * u] = dh_new * tc  # output gate
-        d_gates[:, 3 * u :] = dc_new * i_g  # candidate
-        a = cache["A"][:, step]
-        d_a[:, step, : 3 * u] = d_gates[:, : 3 * u] * activation_grad(
-            layer.recurrent_activation, a[:, : 3 * u], gates[:, : 3 * u]
-        )
-        d_a[:, step, 3 * u :] = d_gates[:, 3 * u :] * activation_grad(
-            layer.activation, a[:, 3 * u :], cand
-        )
-        dh = (1.0 - m) * dh + d_a[:, step] @ wh
-        dc = (1.0 - m) * dc + dc_new * f_g
-    flat_a = d_a.reshape(n * t_len, 4 * u)
-    grads.kernel[:, :u] = flat_a.T @ cache["Hp"].reshape(n * t_len, u)
-    grads.kernel[:, u:] = flat_a.T @ x.reshape(n * t_len, d)
-    grads.bias[:] = flat_a.sum(axis=0)
-    return d_a @ wx
+def _stack(params: list, rows: slice, cols: slice):
+    """One block of every member's kernel, stacked: [K, rows, cols] (a view
+    for a single member)."""
+    if len(params) == 1:
+        return params[0].kernel[None, rows, cols]
+    return np.stack([p.kernel[rows, cols] for p in params])
 
 
-def _gru_layer_forward(layer: LayerSpec, params: GruParams, x, mask, want_cache: bool):
-    n, t_len, _ = x.shape
-    u = params.units
-    w_zr, b_zr = params.kernel[: 2 * u], params.bias[: 2 * u]
-    wh_zr, wx_zr = w_zr[:, :u], w_zr[:, u:]
-    wh_c, wx_c = params.W_h[:, :u], params.W_h[:, u:]
-    xa_zr = x @ wx_zr.T + b_zr  # [n, T, 2u]
-    xa_c = x @ wx_c.T + params.b_h  # [n, T, u]
-    h = np.zeros((n, u))
-    out = np.zeros((n, t_len, u))
-    cache = None
-    if want_cache:
-        cache = {
-            "x": x,
-            "mask": mask,
-            "Azr": np.empty((n, t_len, 2 * u)),
-            "Gzr": np.empty((n, t_len, 2 * u)),
-            "Ac": np.empty((n, t_len, u)),
-            "Cand": np.empty((n, t_len, u)),
-            "Hp": np.empty((n, t_len, u)),
-            "RH": np.empty((n, t_len, u)),
-        }
-    for step in range(t_len):
-        a_zr = xa_zr[:, step] + h @ wh_zr.T
-        zr = activation(layer.recurrent_activation, a_zr)
-        z_g = zr[:, :u]
-        r_g = zr[:, u:]
-        rh = r_g * h
-        a_c = xa_c[:, step] + rh @ wh_c.T
-        cand = activation(layer.activation, a_c)
-        h_new = (1.0 - z_g) * h + z_g * cand
-        m = mask[:, step, None]
-        if want_cache:
-            cache["Hp"][:, step] = h
-            cache["Azr"][:, step] = a_zr
-            cache["Gzr"][:, step] = zr
-            cache["Ac"][:, step] = a_c
-            cache["Cand"][:, step] = cand
-            cache["RH"][:, step] = rh
-        out[:, step] = m * h_new
-        h = m * h_new + (1.0 - m) * h
-    return out, cache
+class _Wave:
+    """The wavefront schedule of a run of K recurrent layers over T steps.
+
+    At wave step s (0 <= s < S = T + K - 1) member j handles t = s - j, so the
+    input of member j >= 1 at t is what member j - 1 emitted one wave step
+    earlier, and the active members of every step share one batched product
+    per kernel. Wave arrays are [slots, K, n, width], time-major: per-step
+    values of step s sit in slot s, states and emitted outputs written at
+    step s in slot s + 1 (slot 0 holds the zero initial state). Without
+    caching they keep one slot (two for states) and are indexed modulo their
+    length, so only rolling per-step buffers are allocated.
+
+    Every product keeps the operands and association of running the members
+    one after another, and parameter gradients reduce over batch-major
+    copies, so results are bitwise the same for batches of two or more rows
+    (one row turns the per-step products into matrix-vector products).
+    """
+
+    def __init__(self, mask, members: int, cached: bool):
+        self.n, self.T = mask.shape
+        self.K = members
+        self.S = self.T + members - 1
+        self.cached = cached
+        self.mask = mask.T[:, :, None]  # [T, n, 1]
+        # full[s]: every row of every member active at s is valid, so the
+        # masked blend of step s is the identity and is skipped.
+        masked = (mask != 1.0).any(axis=0)
+        if members > 1:
+            masked = np.convolve(masked, np.ones(members))
+        self.full = masked == 0
+
+    def steps(self, reverse: bool = False):
+        """Yield (s, active members as a slice, their [k, n, 1] mask or None
+        when every row is valid)."""
+        for s in range(self.S - 1, -1, -1) if reverse else range(self.S):
+            active = slice(max(0, s - self.T + 1), min(self.K, s + 1))
+            m = None if self.full[s] else self.mask[s - active.stop + 1 : s - active.start + 1][::-1]
+            yield s, active, m
+
+    def buffer(self, width: int, state: bool = False):
+        slots = (self.S if self.cached else 1) + state
+        return (np.zeros if state else np.empty)((slots, self.K, self.n, width))
+
+    def member(self, arr, j: int, shift: int = 0):
+        """Member j's [n, T, width] view of a wave array; shift 1 reads the
+        values written at s + 1 (states after each step, emitted outputs)."""
+        return arr[j + shift : j + shift + self.T, j].transpose(1, 0, 2)
+
+    def batch_major(self, arr, j: int, shift: int = 0):
+        """A contiguous [n, T, width] copy of member j's slice: parameter
+        gradients reduce over these in (n, T) order."""
+        return np.ascontiguousarray(self.member(arr, j, shift))
+
+    def carry(self, m, h_new, h, emitted):
+        """Emit h_new, then carry the state of masked rows: emitted = m * h_new,
+        h_new <- emitted + (1 - m) * h."""
+        if m is None:
+            emitted[...] = h_new
+        else:
+            np.multiply(m, h_new, out=emitted)
+            np.add(emitted, (1.0 - m) * h, out=h_new)
+
+    def output(self, s: int, active: slice, emitted, out):
+        """Copy the last member's emitted [n, u] step into the run output."""
+        if active.stop == self.K:
+            out[:, s - self.K + 1] = emitted[-1]
 
 
-def _gru_layer_backward(layer: LayerSpec, params: GruParams, cache, dout, grads: GruParams):
-    x, mask = cache["x"], cache["mask"]
-    n, t_len, d = x.shape
-    u = params.units
-    wh_zr, wx_zr = params.kernel[: 2 * u, :u], params.kernel[: 2 * u, u:]
-    wh_c, wx_c = params.W_h[:, :u], params.W_h[:, u:]
-    d_a_zr = np.zeros((n, t_len, 2 * u))
-    d_a_c = np.zeros((n, t_len, u))
-    dh = np.zeros((n, u))
-    for step in reversed(range(t_len)):
-        m = mask[:, step, None]
-        h_prev = cache["Hp"][:, step]
-        zr = cache["Gzr"][:, step]
-        z_g = zr[:, :u]
-        r_g = zr[:, u:]
-        cand = cache["Cand"][:, step]
-        dh_new = m * (dh + dout[:, step])
-        dz = dh_new * (cand - h_prev)
-        dcand = dh_new * z_g
-        dh_prev = dh_new * (1.0 - z_g)
-        da_c = dcand * activation_grad(layer.activation, cache["Ac"][:, step], cand)
-        d_rh = da_c @ wh_c
-        dr = d_rh * h_prev
-        dh_prev = dh_prev + d_rh * r_g
-        d_gate = np.concatenate([dz, dr], axis=1)
-        da_zr = d_gate * activation_grad(layer.recurrent_activation, cache["Azr"][:, step], zr)
-        d_a_zr[:, step] = da_zr
-        d_a_c[:, step] = da_c
-        dh = (1.0 - m) * dh + dh_prev + da_zr @ wh_zr
-    flat_zr = d_a_zr.reshape(n * t_len, 2 * u)
-    flat_c = d_a_c.reshape(n * t_len, u)
-    x_flat = x.reshape(n * t_len, d)
-    grads.kernel[: 2 * u, :u] = flat_zr.T @ cache["Hp"].reshape(n * t_len, u)
-    grads.kernel[: 2 * u, u:] = flat_zr.T @ x_flat
-    grads.W_h[:, :u] = flat_c.T @ cache["RH"].reshape(n * t_len, u)
-    grads.W_h[:, u:] = flat_c.T @ x_flat
-    grads.bias[: 2 * u] = flat_zr.sum(axis=0)
-    grads.b_h[:] = flat_c.sum(axis=0)
-    return d_a_zr @ wx_zr + d_a_c @ wx_c
+class _Inputs:
+    """Input projection x W_x^T + b of one kernel row block for every member
+    of a run: member 0's is one whole-sequence product over the run's input,
+    members j >= 1 project per wave step what member j - 1 just emitted."""
+
+    def __init__(self, wave: _Wave, params: list, rows: slice, x):
+        u = params[0].units
+        self.first = x @ params[0].kernel[rows, u:].T + params[0].bias[rows]
+        rest = params[1:]
+        if rest:
+            self.w = _stack(rest, rows, slice(u, None)).transpose(0, 2, 1)
+            self.b = np.stack([p.bias[rows] for p in rest])[:, None]
+            self.buf = np.empty((len(rest), wave.n, self.w.shape[2]))
+
+    def add_to(self, a, s: int, active: slice, emitted):
+        """a[k] += the input projection of member active.start + k at step s."""
+        if active.start == 0:
+            a[0] += self.first[:, s]
+        lo = max(active.start, 1)
+        if lo < active.stop:
+            prev = slice(lo - 1, active.stop - 1)
+            xp = np.matmul(emitted[prev], self.w[prev], out=self.buf[prev])
+            xp += self.b[prev]
+            a[lo - active.start :] += xp
 
 
-def _dense_layer_forward(layer: LayerSpec, params: DenseParams, x, mask, want_cache: bool):
+def _pass_down(s: int, active: slice, d_out, blocks):
+    """Input gradients of the active members j >= 1 at step s, written as the
+    output gradients member j - 1 reads at step s - 1: the sum over kernel row
+    blocks of d_a[block] @ W_x[block]. `blocks` pairs each per-step d_a wave
+    array with the stacked input kernels of members 1..K-1."""
+    lo = max(active.start, 1)
+    if lo < active.stop:
+        mem, prev = slice(lo, active.stop), slice(lo - 1, active.stop - 1)
+        (da, w), *more = blocks
+        dx = np.matmul(da[s, mem], w[prev], out=d_out[(s + 1) % 2, prev])
+        for da, w in more:
+            dx += da[s, mem] @ w[prev]
+
+
+def _lstm_run_forward(layer: LayerSpec, params: list, x, mask, want_cache: bool):
+    """A run of LSTM layers (one LstmParams each) over x [n, T, d]; returns
+    the last member's output [n, T, u] and one cache entry per member."""
+    wave = _Wave(mask, len(params), want_cache)
+    u = params[0].units
+    rec, act = _ACTIVATIONS[layer.recurrent_activation][0], _ACTIVATIONS[layer.activation][0]
+    wh = _stack(params, slice(None), slice(None, u)).transpose(0, 2, 1)  # [K, u, 4u]
+    inputs = _Inputs(wave, params, slice(None), x)
+    A, G = wave.buffer(4 * u), wave.buffer(4 * u)
+    CN, TC = wave.buffer(u), wave.buffer(u)
+    H, C, Y = wave.buffer(u, True), wave.buffer(u, True), wave.buffer(u, True)
+    out = np.empty((wave.n, wave.T, u))
+    for s, active, m in wave.steps():
+        i, now, nxt = s % len(A), s % len(H), (s + 1) % len(H)
+        a, g = A[i, active], G[i, active]
+        h, c, h_new = H[now, active], C[now, active], H[nxt, active]
+        np.matmul(h, wh[active], out=a)
+        inputs.add_to(a, s, active, Y[now])
+        rec(a, g)  # whole rows are faster than strided gate columns
+        act(a[..., 3 * u :], g[..., 3 * u :])
+        c_new = np.multiply(g[..., u : 2 * u], c, out=CN[i, active])
+        c_new += g[..., :u] * g[..., 3 * u :]
+        np.multiply(g[..., 2 * u : 3 * u], act(c_new, TC[i, active]), out=h_new)
+        if m is None:
+            C[nxt, active] = c_new
+        else:
+            np.add(m * c_new, (1.0 - m) * c, out=C[nxt, active])
+        wave.carry(m, h_new, h, Y[nxt, active])
+        wave.output(s, active, Y[nxt], out)
+    if not want_cache:
+        return out, [None] * wave.K
+    run = {"wave": wave, "x": x, "A": A, "G": G, "CN": CN, "TC": TC, "H": H, "C": C, "Y": Y}
+    return out, [{"A": wave.member(A, j), "G": wave.member(G, j), "Hp": wave.member(H, j),
+                  "Cp": wave.member(C, j), "Cn": wave.member(CN, j), "TC": wave.member(TC, j),
+                  "run": run} for j in range(wave.K)]
+
+
+def _lstm_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
+    """The reverse wavefront: writes each member's gradient into `grads` and
+    returns the gradient of the run's input."""
+    wave, x = run["wave"], run["x"]
+    A, G, CN, TC, H, C = (run[k] for k in ("A", "G", "CN", "TC", "H", "C"))
+    K, n, u = wave.K, wave.n, params[0].units
+    d_rec, d_act = _ACTIVATIONS[layer.recurrent_activation][1], _ACTIVATIONS[layer.activation][1]
+    wh = _stack(params, slice(None), slice(None, u))  # [K, 4u, u]
+    blocks = [(A, _stack(params[1:], slice(None), slice(u, None)))] if K > 1 else []
+    dh, dc = np.zeros((K, n, u)), np.zeros((K, n, u))
+    dh_new, dc_new, d_cell = (np.empty((K, n, u)) for _ in range(3))
+    deriv = np.empty((K, n, 4 * u))
+    d_out = np.zeros((2, K, n, u))  # each member's output gradient, double-buffered
+    for s, active, m in wave.steps(reverse=True):
+        if active.stop == K:
+            d_out[s % 2, K - 1] = dout[:, s - K + 1]
+        g, da, tc = G[s, active], A[s, active], TC[s, active]
+        d_a = d_rec(da, g, deriv[active])  # read the preactivations before da overwrites them
+        d_act(da[..., 3 * u :], g[..., 3 * u :], d_a[..., 3 * u :])
+        dhn = np.add(dh[active], d_out[s % 2, active], out=dh_new[active])
+        if m is not None:
+            dhn *= m
+        dcn = np.multiply(dhn, g[..., 2 * u : 3 * u], out=dc_new[active])
+        dcn *= d_act(CN[s, active], tc, d_cell[active])
+        dcn += dc[active] if m is None else m * dc[active]
+        np.multiply(dcn, g[..., 3 * u :], out=da[..., :u])  # input gate
+        np.multiply(dcn, C[s, active], out=da[..., u : 2 * u])  # forget gate
+        np.multiply(dhn, tc, out=da[..., 2 * u : 3 * u])  # output gate
+        np.multiply(dcn, g[..., :u], out=da[..., 3 * u :])  # candidate
+        da *= d_a
+        if m is None:
+            np.matmul(da, wh[active], out=dh[active])
+            np.multiply(dcn, g[..., u : 2 * u], out=dc[active])
+        else:
+            keep = 1.0 - m
+            dh[active] = keep * dh[active] + da @ wh[active]
+            dc[active] = keep * dc[active] + dcn * g[..., u : 2 * u]
+        _pass_down(s, active, d_out, blocks)
+    for j, grad in enumerate(grads):
+        da = wave.batch_major(A, j)
+        flat = da.reshape(-1, 4 * u)
+        grad.kernel[:, :u] = flat.T @ wave.batch_major(H, j).reshape(-1, u)
+        xj = x if j == 0 else wave.batch_major(run["Y"], j - 1, shift=1)
+        grad.kernel[:, u:] = flat.T @ xj.reshape(-1, xj.shape[2])
+        grad.bias[:] = flat.sum(axis=0)
+        if j == 0:
+            dx = da @ params[0].kernel[:, u:]
+        del da, flat, xj  # free this member's copies before the next member's
+    return dx
+
+
+def _gru_run_forward(layer: LayerSpec, params: list, x, mask, want_cache: bool):
+    """A run of GRU layers (one GruParams each); see _lstm_run_forward."""
+    wave = _Wave(mask, len(params), want_cache)
+    u = params[0].units
+    zr, cand_rows = slice(None, 2 * u), slice(2 * u, None)
+    rec, act = _ACTIVATIONS[layer.recurrent_activation][0], _ACTIVATIONS[layer.activation][0]
+    wh_zr = _stack(params, zr, slice(None, u)).transpose(0, 2, 1)  # [K, u, 2u]
+    wh_c = _stack(params, cand_rows, slice(None, u)).transpose(0, 2, 1)  # [K, u, u]
+    inputs_zr, inputs_c = _Inputs(wave, params, zr, x), _Inputs(wave, params, cand_rows, x)
+    AZR, GZR = wave.buffer(2 * u), wave.buffer(2 * u)
+    AC, CAND, RH = wave.buffer(u), wave.buffer(u), wave.buffer(u)
+    H, Y = wave.buffer(u, True), wave.buffer(u, True)
+    out = np.empty((wave.n, wave.T, u))
+    for s, active, m in wave.steps():
+        i, now, nxt = s % len(AZR), s % len(H), (s + 1) % len(H)
+        h, h_new = H[now, active], H[nxt, active]
+        a_zr, g_zr = AZR[i, active], GZR[i, active]
+        np.matmul(h, wh_zr[active], out=a_zr)
+        inputs_zr.add_to(a_zr, s, active, Y[now])
+        rec(a_zr, g_zr)
+        z = g_zr[..., :u]
+        rh = np.multiply(g_zr[..., u:], h, out=RH[i, active])
+        a_c = np.matmul(rh, wh_c[active], out=AC[i, active])
+        inputs_c.add_to(a_c, s, active, Y[now])
+        cand = act(a_c, CAND[i, active])
+        np.subtract(1.0, z, out=h_new)
+        h_new *= h
+        h_new += z * cand
+        wave.carry(m, h_new, h, Y[nxt, active])
+        wave.output(s, active, Y[nxt], out)
+    if not want_cache:
+        return out, [None] * wave.K
+    run = {"wave": wave, "x": x, "AZR": AZR, "GZR": GZR, "AC": AC, "CAND": CAND, "RH": RH, "H": H, "Y": Y}
+    return out, [{"Azr": wave.member(AZR, j), "Gzr": wave.member(GZR, j), "Ac": wave.member(AC, j),
+                  "Cand": wave.member(CAND, j), "Hp": wave.member(H, j), "RH": wave.member(RH, j),
+                  "run": run} for j in range(wave.K)]
+
+
+def _gru_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
+    """The reverse wavefront of a GRU run; see _lstm_run_backward."""
+    wave, x = run["wave"], run["x"]
+    AZR, GZR, AC, CAND, RH, H = (run[k] for k in ("AZR", "GZR", "AC", "CAND", "RH", "H"))
+    K, n, u = wave.K, wave.n, params[0].units
+    zr, cand_rows = slice(None, 2 * u), slice(2 * u, None)
+    d_rec, d_act = _ACTIVATIONS[layer.recurrent_activation][1], _ACTIVATIONS[layer.activation][1]
+    wh_zr, wh_c = _stack(params, zr, slice(None, u)), _stack(params, cand_rows, slice(None, u))
+    blocks = [(AZR, _stack(params[1:], zr, slice(u, None))),
+              (AC, _stack(params[1:], cand_rows, slice(u, None)))] if K > 1 else []
+    dh = np.zeros((K, n, u))
+    dh_new, dh_prev, d_rh, d_cand = (np.empty((K, n, u)) for _ in range(4))
+    deriv = np.empty((K, n, 2 * u))
+    d_out = np.zeros((2, K, n, u))  # each member's output gradient, double-buffered
+    for s, active, m in wave.steps(reverse=True):
+        if active.stop == K:
+            d_out[s % 2, K - 1] = dout[:, s - K + 1]
+        h, g_zr, cand = H[s, active], GZR[s, active], CAND[s, active]
+        z, r = g_zr[..., :u], g_zr[..., u:]
+        dhn = np.add(dh[active], d_out[s % 2, active], out=dh_new[active])
+        if m is not None:
+            dhn *= m
+        # the preactivations' gradients overwrite them once read
+        d_zr, da_c = AZR[s, active], AC[s, active]
+        d_gates = d_rec(d_zr, g_zr, deriv[active])
+        d_c = d_act(da_c, cand, d_cand[active])
+        dz = np.subtract(cand, h, out=d_zr[..., :u])
+        dz *= dhn
+        np.multiply(dhn, z, out=da_c)
+        da_c *= d_c
+        drh = np.matmul(da_c, wh_c[active], out=d_rh[active])
+        np.multiply(drh, h, out=d_zr[..., u:])
+        dhp = np.subtract(1.0, z, out=dh_prev[active])
+        dhp *= dhn
+        dhp += drh * r
+        d_zr *= d_gates
+        if m is not None:
+            dhp += (1.0 - m) * dh[active]
+        np.matmul(d_zr, wh_zr[active], out=dh[active])
+        dh[active] += dhp
+        _pass_down(s, active, d_out, blocks)
+    for j, grad in enumerate(grads):
+        d_zr, d_c = wave.batch_major(AZR, j), wave.batch_major(AC, j)
+        flat_zr, flat_c = d_zr.reshape(-1, 2 * u), d_c.reshape(-1, u)
+        grad.kernel[zr, :u] = flat_zr.T @ wave.batch_major(H, j).reshape(-1, u)
+        grad.W_h[:, :u] = flat_c.T @ wave.batch_major(RH, j).reshape(-1, u)
+        xj = x if j == 0 else wave.batch_major(run["Y"], j - 1, shift=1)
+        x_flat = xj.reshape(-1, xj.shape[2])
+        grad.kernel[zr, u:] = flat_zr.T @ x_flat
+        grad.W_h[:, u:] = flat_c.T @ x_flat
+        grad.bias[zr] = flat_zr.sum(axis=0)
+        grad.b_h[:] = flat_c.sum(axis=0)
+        if j == 0:
+            dx = d_zr @ params[0].kernel[zr, u:] + d_c @ params[0].W_h[:, u:]
+        del d_zr, d_c, flat_zr, flat_c, xj, x_flat  # free this member's copies before the next member's
+    return dx
+
+
+def _dense_layer_forward(layer: LayerSpec, params: DenseParams, x, want_cache: bool):
     a = x @ params.W.T + params.b
     y = activation(layer.activation, a)
     cache = {"x": x, "A": a, "Y": y} if want_cache else None
@@ -495,7 +668,7 @@ def _dense_layer_forward(layer: LayerSpec, params: DenseParams, x, mask, want_ca
 
 def _dense_layer_backward(layer: LayerSpec, params: DenseParams, cache, dout, grads: DenseParams):
     x, a = cache["x"], cache["A"]
-    da = dout * activation_grad(layer.activation, a, cache["Y"])
+    da = dout * _ACTIVATIONS[layer.activation][1](a, cache["Y"], np.empty_like(a))
     n, t_len, u = da.shape
     flat = da.reshape(n * t_len, u)
     grads.W[:] = flat.T @ x.reshape(n * t_len, x.shape[2])
@@ -503,8 +676,8 @@ def _dense_layer_backward(layer: LayerSpec, params: DenseParams, cache, dout, gr
     return da @ params.W
 
 
-_LAYER_FORWARD = {"lstm": _lstm_layer_forward, "gru": _gru_layer_forward, "dense": _dense_layer_forward}
-_LAYER_BACKWARD = {"lstm": _lstm_layer_backward, "gru": _gru_layer_backward, "dense": _dense_layer_backward}
+_RUN_FORWARD = {"lstm": _lstm_run_forward, "gru": _gru_run_forward}
+_RUN_BACKWARD = {"lstm": _lstm_run_backward, "gru": _gru_run_backward}
 
 
 def forward(params: ModelParams, features, mask, mode: str = "eval",
@@ -517,6 +690,12 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
     per dropout layer (used to freeze dropout for gradient checking).
     `caches` holds what backward_through_layers needs, one entry per layer;
     with want_cache=False every entry is None and nothing is kept.
+
+    Each run of consecutive recurrent layers that share kind, units and
+    activations goes through time as one wavefront (see _Wave); its members'
+    cache entries are [n, T, .] views into the run's arrays. The caches serve
+    one backward pass, which overwrites a run's preactivations ("A", "Azr",
+    "Ac") with their gradients.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval (got {mode!r})")
@@ -530,9 +709,14 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
     x = features
     caches = []
     drop_index = 0
-    for layer, p in zip(spec.layers, params.layers):
-        if layer.kind != "dropout":
-            x, cache = _LAYER_FORWARD[layer.kind](layer, p, x, mask, want_cache)
+    for start, stop in _runs(spec.layers):
+        layer, p = spec.layers[start], params.layers[start]
+        if layer.kind in _RUN_FORWARD:
+            x, run_caches = _RUN_FORWARD[layer.kind](layer, params.layers[start:stop], x, mask, want_cache)
+            caches.extend(run_caches)
+            continue
+        if layer.kind == "dense":
+            x, cache = _dense_layer_forward(layer, p, x, want_cache)
         else:
             scale = None
             if mode == "train" and layer.rate > 0.0:
@@ -553,14 +737,20 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
 def backward_through_layers(params: ModelParams, caches, dpred):
     """Walk the stack in reverse; returns the flat gradient vector
     (same packing as ModelParams.flatten). Each layer writes its gradient
-    straight into views of that vector."""
+    straight into views of that vector. Recurrent runs reuse their cached
+    preactivation arrays for the preactivations' gradients, so the caches
+    are spent afterwards."""
     spec = params.spec
     grad = np.zeros(params.flat.size)
     grad_views = _layer_views(spec, grad)
     dx = dpred
-    for layer, p, g, cache in reversed(list(zip(spec.layers, params.layers, grad_views, caches))):
-        if layer.kind != "dropout":
-            dx = _LAYER_BACKWARD[layer.kind](layer, p, cache, dx, g)
+    for start, stop in reversed(_runs(spec.layers)):
+        layer, cache = spec.layers[start], caches[start]
+        if layer.kind in _RUN_BACKWARD:
+            dx = _RUN_BACKWARD[layer.kind](layer, params.layers[start:stop], cache["run"], dx,
+                                           grad_views[start:stop])
+        elif layer.kind == "dense":
+            dx = _dense_layer_backward(layer, params.layers[start], cache, dx, grad_views[start])
         elif cache["scale"] is not None:
             dx = dx * cache["scale"]
     return grad

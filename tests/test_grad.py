@@ -1,5 +1,7 @@
 """Backprop vs the finite-difference oracle, kept as two independent routes."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -195,3 +197,12 @@ def test_backward_reports_nonfinite_layer():
     batch = small_batch(rng)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
         backward(params, batch, "mse", mode="eval")
+    # the message names the first layer whose values go non-finite, also
+    # inside a run of recurrent layers that share one wavefront
+    spec = ModelSpec(input_dim=3, layers=[LayerSpec("gru", units=4), LayerSpec("gru", units=4),
+                                          LayerSpec("gru", units=4), LayerSpec("dense", units=1)])
+    for layer, where in ((0, "layer 0 (gru)"), (1, "layer 1 (gru)"), (2, "layer 2 (gru)"), (3, "layer 3 (dense)")):
+        params = ModelParams.from_flat(spec, rng.normal(0, 0.5, count_params(spec)))
+        params.layers[layer].kernel[0, 0] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalError, match=re.escape(f"in {where}") + "$"):
+            backward(params, batch, "mse", mode="eval")

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pournet.data import PaddedBatch
+from pournet.grad import FD_TOL, backward, check_gradients
 from pournet.nn import (
     GruParams,
     LayerSpec,
     LstmParams,
     ModelParams,
     ModelSpec,
-    _gru_layer_forward,
-    _lstm_layer_forward,
+    _runs,
     activation,
     build_model,
     count_params,
@@ -69,7 +69,8 @@ def gru_cell_step(params: GruParams, x_t, h_prev,
 
 
 def recurrent_layer_forward(params, seq, mask=None, recurrent_activation=None, cell_activation="tanh"):
-    """Run one cell over a single [T, d] sequence; returns [T, units].
+    """Run one cell over a single [T, d] sequence, one cell step at a time;
+    returns [T, units].
 
     Masked steps (mask[t] == 0) leave the state untouched and emit zeros.
     The default gate squashing is hard-sigmoid for LSTM and sigmoid for GRU,
@@ -82,18 +83,37 @@ def recurrent_layer_forward(params, seq, mask=None, recurrent_activation=None, c
     mask = np.ones(t_len) if mask is None else np.asarray(mask, dtype=np.float64)
     if mask.shape != (t_len,):
         raise ValueError("mask must be one value per timestep")
-    if isinstance(params, LstmParams):
-        kind = "lstm"
-        rec_act = "hard_sigmoid" if recurrent_activation is None else recurrent_activation
-    elif isinstance(params, GruParams):
-        kind = "gru"
-        rec_act = "sigmoid" if recurrent_activation is None else recurrent_activation
-    else:
-        raise TypeError(f"unsupported cell parameters: {type(params).__name__}")
-    layer = LayerSpec(kind, units=params.units, activation=cell_activation, recurrent_activation=rec_act)
-    forward = _lstm_layer_forward if kind == "lstm" else _gru_layer_forward
-    out, _ = forward(layer, params, seq[None, :, :], mask[None, :], want_cache=False)
-    return out[0]
+    h = np.zeros(params.units)
+    c = np.zeros(params.units)
+    out = np.zeros((t_len, params.units))
+    for t in range(t_len):
+        if isinstance(params, LstmParams):
+            rec_act = "hard_sigmoid" if recurrent_activation is None else recurrent_activation
+            h_new, c_new = lstm_cell_step(params, seq[t], h, c, rec_act, cell_activation)
+        elif isinstance(params, GruParams):
+            rec_act = "sigmoid" if recurrent_activation is None else recurrent_activation
+            h_new, c_new = gru_cell_step(params, seq[t], h, rec_act, cell_activation), c
+        else:
+            raise TypeError(f"unsupported cell parameters: {type(params).__name__}")
+        if mask[t]:
+            h, c = h_new, c_new
+            out[t] = h
+    return out
+
+
+def stack_forward(params: ModelParams, feats, mask):
+    """Eval-mode predictions of a whole stack, sequence by sequence and layer
+    by layer, through the vector-level ops above."""
+    preds = []
+    for seq, row in zip(feats, mask):
+        x = seq
+        for layer, p in zip(params.spec.layers, params.layers):
+            if layer.kind in ("lstm", "gru"):
+                x = recurrent_layer_forward(p, x, row, layer.recurrent_activation, layer.activation)
+            elif layer.kind == "dense":
+                x = dense_forward(p.W, p.b, x, layer.activation)
+        preds.append(x)
+    return np.stack(preds)
 
 
 def dense_forward(W, b, x, activation_kind: str = "linear"):
@@ -212,17 +232,21 @@ def test_gate_ranges_random_inputs(seed):
 def test_recurrent_layer_single_step_equals_cell():
     rng = np.random.default_rng(3)
     spec = ModelSpec(input_dim=3, layers=[LayerSpec("lstm", units=4)])
-    p = ModelParams.from_flat(spec, rng.normal(0, 1, count_params(spec))).layers[0]
+    params = ModelParams.from_flat(spec, rng.normal(0, 1, count_params(spec)))
+    p = params.layers[0]
     x = rng.normal(0, 1, size=(1, 3))
     out = recurrent_layer_forward(p, x)
     h, _ = lstm_cell_step(p, x[0], np.zeros(4), np.zeros(4))
     assert np.allclose(out[0], h, rtol=0, atol=1e-15)
+    batched, _ = forward(params, np.stack([x, -x]), np.ones((2, 1)))
+    assert np.allclose(batched[0, 0], h, rtol=0, atol=1e-15)
 
 
 def test_recurrent_layer_masked_steps_freeze_state():
     rng = np.random.default_rng(4)
     spec = ModelSpec(input_dim=2, layers=[LayerSpec("gru", units=3)])
-    p = ModelParams.from_flat(spec, rng.normal(0, 1, count_params(spec))).layers[0]
+    params = ModelParams.from_flat(spec, rng.normal(0, 1, count_params(spec)))
+    p = params.layers[0]
     x = rng.normal(0, 1, size=(5, 2))
     base = recurrent_layer_forward(p, x, mask=np.ones(5))
     # appending masked garbage steps leaves valid outputs bitwise identical
@@ -231,6 +255,115 @@ def test_recurrent_layer_masked_steps_freeze_state():
     ext = recurrent_layer_forward(p, x_ext, mask=mask_ext)
     assert np.array_equal(ext[:5], base)
     assert np.all(ext[5:] == 0.0)
+    # so does the batched forward, which matches the cell steps
+    feats, masks = np.stack([x_ext, -x_ext]), np.stack([mask_ext, mask_ext])
+    batched, _ = forward(params, feats, masks, want_cache=False)
+    narrow, _ = forward(params, feats[:, :5], masks[:, :5], want_cache=False)
+    assert np.array_equal(batched[:, :5], narrow)
+    assert np.all(batched[:, 5:] == 0.0)
+    assert np.allclose(batched[0], recurrent_layer_forward(p, x_ext, mask_ext, "hard_sigmoid"), rtol=0, atol=1e-12)
+
+
+def holed_batch(rng, n, t_len, d):
+    """Row 0 valid throughout, row 1 with an interior hole and trailing
+    padding, the other rows padded to random lengths: wave steps with and
+    without masked rows."""
+    mask = np.ones((n, t_len))
+    mask[1, 3:5] = 0.0
+    mask[1, t_len - 1 :] = 0.0
+    for row, length in enumerate(rng.integers(2, t_len + 1, size=n - 2), start=2):
+        mask[row, length:] = 0.0
+    feats = rng.normal(0, 1, size=(n, t_len, d)) * mask[:, :, None]
+    targets = rng.normal(0, 1, size=(n, t_len, 1)) * mask[:, :, None]
+    return PaddedBatch(features=feats, targets=targets, mask=mask, lengths=mask.sum(axis=1).astype(np.int64))
+
+
+def kink_margin(params, batch):
+    """Distance of the closest relu (at 0) or hard_sigmoid (at +-2.5)
+    preactivation to its kink, over valid steps; the cell state counts as the
+    preactivation of an LSTM's output activation."""
+    _, caches = forward(params, batch.features, batch.mask)
+    valid = batch.mask > 0.5
+    margin = np.inf
+    for layer, cache in zip(params.spec.layers, caches):
+        u = layer.units
+        if layer.kind == "lstm":
+            preacts = [(cache["A"][..., : 3 * u], layer.recurrent_activation),
+                       (cache["A"][..., 3 * u :], layer.activation), (cache["Cn"], layer.activation)]
+        elif layer.kind == "gru":
+            preacts = [(cache["Azr"], layer.recurrent_activation), (cache["Ac"], layer.activation)]
+        elif layer.kind == "dense":
+            preacts = [(cache["A"], layer.activation)]
+        else:
+            preacts = []
+        for pre, kind in preacts:
+            if kind == "relu":
+                # an exact zero (an LSTM cell fed only by dead relus) stays put
+                pre = pre[valid]
+                margin = min(margin, np.abs(pre[pre != 0.0]).min(initial=np.inf))
+            elif kind == "hard_sigmoid":
+                margin = min(margin, np.abs(np.abs(pre[valid]) - 2.5).min())
+    return margin
+
+
+def generic_point(spec, batch, rng):
+    """Parameters where central differences at FD_STEP are a clean oracle
+    (see grad.gradcheck_case): every kink at least 1e-3 away, and every
+    nonzero gradient coordinate above their ~1e-6 resolution."""
+    for _ in range(100):
+        params = ModelParams.from_flat(spec, rng.normal(0, 0.5, count_params(spec)))
+        if kink_margin(params, batch) < 1e-3:
+            continue
+        g = backward(params, batch, "mse", mode="eval")[1]
+        if np.abs(g[g != 0.0]).min() > 2e-6:
+            return params
+    raise AssertionError("no generic check point in 100 draws")
+
+
+def check_against_cell_steps(spec, seed):
+    """For n = 2 and n = 33, forward matches the cell-step oracle to 1e-12
+    with and without caches, and backpropagation matches central differences.
+    With relu or hard_sigmoid in the stack the gradient is checked at n = 2
+    only: over 33 rows some kink always lies within reach of the finite
+    differences, or some coordinate's gradient below their resolution."""
+    kinked = any({layer.activation, layer.recurrent_activation} & {"relu", "hard_sigmoid"}
+                 for layer in spec.layers if layer.kind != "dropout")
+    rng = np.random.default_rng(seed)
+    for n in (2, 33):
+        batch = holed_batch(rng, n, 8, spec.input_dim)
+        grad_checked = n == 2 or not kinked
+        params = (generic_point(spec, batch, rng) if grad_checked
+                  else ModelParams.from_flat(spec, rng.normal(0, 0.5, count_params(spec))))
+        want = stack_forward(params, batch.features, batch.mask)
+        for cached in (True, False):
+            got, _ = forward(params, batch.features, batch.mask, want_cache=cached)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        if grad_checked:
+            worst, coord = check_gradients(params, batch, "mse")
+            assert worst < FD_TOL, f"n={n} coord {coord}: {worst}"
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("members", [1, 2, 3])
+@pytest.mark.parametrize("gates,cell_act", [("sigmoid", "tanh"), ("hard_sigmoid", "relu"), ("sigmoid", "linear")])
+def test_recurrent_runs_match_cell_steps(cell, members, gates, cell_act):
+    rnn = LayerSpec(cell, units=3, activation=cell_act, recurrent_activation=gates)
+    spec = ModelSpec(input_dim=3, layers=[rnn] * members + [LayerSpec("dense", units=1, activation="tanh")])
+    assert _runs(spec.layers) == [[0, members], [members, members + 1]]
+    check_against_cell_steps(spec, seed=members)
+
+
+@pytest.mark.parametrize("layers,runs", [
+    ([LayerSpec("lstm", units=5), LayerSpec("lstm", units=3)], [[0, 1], [1, 2]]),
+    ([LayerSpec("lstm", units=4), LayerSpec("gru", units=4)], [[0, 1], [1, 2]]),
+    ([LayerSpec("lstm", units=4), LayerSpec("lstm", units=4, activation="relu")], [[0, 1], [1, 2]]),
+    ([LayerSpec("gru", units=4), LayerSpec("dense", units=3), LayerSpec("gru", units=4),
+      LayerSpec("gru", units=4)], [[0, 1], [1, 2], [2, 4]]),
+])
+def test_broken_runs_match_cell_steps(layers, runs):
+    spec = ModelSpec(input_dim=3, layers=layers + [LayerSpec("dense", units=1, activation="tanh")])
+    assert _runs(spec.layers) == runs + [[len(layers), len(layers) + 1]]
+    check_against_cell_steps(spec, seed=len(layers))
 
 
 def test_dense_forward_and_identity():
@@ -328,20 +461,31 @@ def test_eval_forward_is_pure():
 
 
 def test_batch_mask_extension_bitwise_invariant():
-    spec = ModelSpec(input_dim=4, layers=[
+    # Recurrent layers are bitwise invariant under extra masked steps. The
+    # 1-wide dense layers of reference_model() are matrix-vector products
+    # whose rounding depends on a row's position in the padded length, so its
+    # predictions agree to round-off only; its first run of four recurrent
+    # layers is compared bitwise through the input of the first dense layer.
+    lstm_dense = ModelSpec(input_dim=4, layers=[
         LayerSpec("lstm", units=5), LayerSpec("dense", units=1, activation="relu"),
     ])
-    rng = np.random.default_rng(8)
-    params = ModelParams.from_flat(spec, rng.normal(0, 0.4, count_params(spec)))
-    n, t_len = 3, 6
-    feats = rng.normal(0, 1, size=(n, t_len, 4))
-    mask = np.ones((n, t_len))
-    ext = 4
-    feats_ext = np.concatenate([feats, np.zeros((n, ext, 4))], axis=1)
-    mask_ext = np.concatenate([mask, np.zeros((n, ext))], axis=1)
-    base, _ = forward(params, feats, mask, mode="eval")
-    wide, _ = forward(params, feats_ext, mask_ext, mode="eval")
-    assert np.array_equal(base, wide[:, :t_len])
+    for spec, bitwise in ((lstm_dense, True), (reference_model(), False)):
+        rng = np.random.default_rng(8)
+        params = ModelParams.from_flat(spec, rng.normal(0, 0.4, count_params(spec)))
+        n, t_len, d = 3, 6, spec.input_dim
+        feats = rng.normal(0, 1, size=(n, t_len, d))
+        mask = np.ones((n, t_len))
+        ext = 4
+        feats_ext = np.concatenate([feats, np.zeros((n, ext, d))], axis=1)
+        mask_ext = np.concatenate([mask, np.zeros((n, ext))], axis=1)
+        base, base_caches = forward(params, feats, mask, mode="eval")
+        wide, wide_caches = forward(params, feats_ext, mask_ext, mode="eval")
+        dense = [layer.kind for layer in spec.layers].index("dense")
+        assert np.array_equal(base_caches[dense]["x"], wide_caches[dense]["x"][:, :t_len])
+        if bitwise:
+            assert np.array_equal(base, wide[:, :t_len])
+        else:
+            assert np.allclose(base, wide[:, :t_len], rtol=0, atol=1e-12)
 
 
 def test_forward_rejects_bad_width_and_mode():

@@ -10,6 +10,7 @@ override it. Exit codes: 0 success, 1 usage error, 2 data error,
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import grid as grid_mod
@@ -26,8 +27,9 @@ from .data import (
 )
 from .errors import DatasetFormatError, NumericalError
 from .grad import FD_STEP, FD_TOL, check_gradients, gradcheck_case
-from .nn import ModelSpec, model_forward, reference_model
-from .simulate import SimRanges, TrajectoryConfig, default_ranges, generate_dataset
+from .losses import LOSS_KINDS
+from .nn import CELL_KINDS, OUTPUT_ACTIVATIONS, ModelSpec, model_forward, reference_model
+from .simulate import SimRanges, TrajectoryConfig, generate_dataset
 from .train import TrainConfig, evaluate, export_history, train
 
 EXIT_OK = 0
@@ -71,13 +73,13 @@ def _read_config(path) -> dict:
     return values
 
 
-def _add(parser, registry, *flags, dest=None, type=str, default=None, choices=None, flag=False, help=""):
+def _add(parser, registry, *flags, type=str, default=None, choices=None, flag=False, help=""):
     """Register an option with its converter and builtin default.
 
     Arguments are parsed with default None so a later pass can layer
     CLI > config file > builtin.
     """
-    name = dest or flags[0].lstrip("-").replace("-", "_")
+    name = flags[0].lstrip("-").replace("-", "_")
     if flag:
         parser.add_argument(*flags, dest=name, action="store_const", const=True, default=None, help=help)
         registry[name] = (_parse_bool, default if default is not None else False)
@@ -96,7 +98,6 @@ def _add(parser, registry, *flags, dest=None, type=str, default=None, choices=No
 
 def _resolve(args, registry):
     """Fill unset options from the config file, then from builtin defaults."""
-    provided = {name for name in registry if getattr(args, name) is not None}
     file_values = _read_config(args.config) if args.config else {}
     unknown = set(file_values) - set(registry)
     if unknown:
@@ -113,10 +114,8 @@ def _resolve(args, registry):
                 setattr(args, name, conv(raw))
             except (TypeError, ValueError) as exc:
                 raise UsageError(f"config key {name}: {exc}") from exc
-            provided.add(name)
         else:
             setattr(args, name, default)
-    args._provided = provided
 
 
 def _common(parser, registry, out_dir_default="."):
@@ -135,21 +134,23 @@ def _out_dir(args) -> Path:
 # generate
 
 
-def _load_ranges_file(path):
+def _load_json(path, what: str, parse):
+    """parse(doc) of a JSON file; any failure is a data error naming the file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        return parse(json.loads(Path(path).read_text()))
     except OSError as exc:
-        raise DatasetFormatError(f"cannot read ranges file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}: not valid JSON ({exc.msg})") from exc
+        raise DatasetFormatError(f"cannot read {what} file {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise DatasetFormatError(f"{path}: bad {what} ({getattr(exc, 'msg', exc)})") from exc
+
+
+def _parse_ranges(doc):
+    """(SimRanges, TrajectoryConfig) from a ranges file: SimRanges fields and
+    an optional trajectory block."""
     if not isinstance(doc, dict):
-        raise DatasetFormatError(f"{path}: ranges file must be a JSON object")
-    trajectory = doc.pop("trajectory", {})
-    try:
-        ranges = SimRanges.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{path}: bad ranges ({exc})") from exc
-    return ranges, trajectory
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    trajectory = TrajectoryConfig.from_dict(doc.pop("trajectory", {}))
+    return SimRanges.from_dict(doc), trajectory
 
 
 def run_generate(args) -> int:
@@ -157,24 +158,8 @@ def run_generate(args) -> int:
         raise UsageError("--n must be >= 1")
     if args.noise < 0:
         raise UsageError("--noise must be >= 0")
-    overrides = {}
-    if args.ranges:
-        ranges, overrides = _load_ranges_file(args.ranges)
-    else:
-        ranges = default_ranges()
-    traj_kwargs = {"seed": args.seed, "noise_sigma": args.noise}
-    for key in ("length", "final_tilt"):
-        if key in overrides:
-            traj_kwargs[key] = tuple(overrides[key])
-    for key in ("ramp_frac", "jitter_deg"):
-        if key in overrides:
-            traj_kwargs[key] = float(overrides[key])
-    if "noise_sigma" in overrides and "noise" not in args._provided:
-        traj_kwargs["noise_sigma"] = float(overrides["noise_sigma"])
-    try:
-        config = TrajectoryConfig(**traj_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"bad trajectory settings: {exc}") from exc
+    ranges, config = _load_json(args.ranges, "ranges", _parse_ranges) if args.ranges else _parse_ranges({})
+    config = replace(config, noise_sigma=args.noise, seed=args.seed)
     records = generate_dataset(args.n, ranges, config)
     out_path = Path(args.out)
     if out_path.parent != Path(""):
@@ -184,13 +169,7 @@ def run_generate(args) -> int:
         "n": args.n,
         "seed": args.seed,
         "ranges": ranges.to_dict(),
-        "trajectory": {
-            "length": list(config.length),
-            "ramp_frac": config.ramp_frac,
-            "final_tilt": list(config.final_tilt),
-            "jitter_deg": config.jitter_deg,
-            "noise_sigma": config.noise_sigma,
-        },
+        "trajectory": {k: v for k, v in asdict(config).items() if k != "seed"},
     }
     with open(f"{out_path}.gen.json", "w") as handle:
         json.dump(gen_doc, handle, sort_keys=True, indent=1)
@@ -230,19 +209,22 @@ def _records_for_ids(records, ids, what):
 
 
 def _split_batches(records, manifest, normalizer, normalize, max_len=None):
-    """(train_batch, val_batch, test_batch, normalizer_in_use)."""
+    """(train_batch, val_batch, normalizer_in_use).
+
+    max_len defaults to the longest record of the whole dataset, so the pad
+    length does not depend on the split.
+    """
     if max_len is None:
         max_len = max(r.length for r in records)
-    groups = []
-    for ids, what in ((manifest.train_ids, "train split"),
-                      (manifest.val_ids, "val split"),
-                      (manifest.test_ids, "test split")):
-        groups.append(pad_and_mask(_records_for_ids(records, ids, what), max_len))
+    train_records = _records_for_ids(records, manifest.train_ids, "train split")
+    _records_for_ids(records, manifest.test_ids, "test split")  # ids checked; no batch is built
+    batches = [pad_and_mask(train_records, max_len),
+               pad_and_mask(_records_for_ids(records, manifest.val_ids, "val split"), max_len)]
     if not normalize:
-        return (*groups, None)
+        return (*batches, None)
     if normalizer is None:
-        normalizer = fit_normalizer(_records_for_ids(records, manifest.train_ids, "train split"))
-    return (*(apply_normalizer(normalizer, g) for g in groups), normalizer)
+        normalizer = fit_normalizer(train_records)
+    return (*(apply_normalizer(normalizer, b) for b in batches), normalizer)
 
 
 def _train_config_from_args(args) -> TrainConfig:
@@ -265,13 +247,7 @@ def _train_config_from_args(args) -> TrainConfig:
 
 def _model_spec_from_args(args) -> ModelSpec:
     if args.spec:
-        try:
-            doc = json.loads(Path(args.spec).read_text())
-            return ModelSpec.from_dict(doc)
-        except OSError as exc:
-            raise DatasetFormatError(f"cannot read spec file {args.spec}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"{args.spec}: bad model spec ({exc})") from exc
+        return _load_json(args.spec, "model spec", ModelSpec.from_dict)
     try:
         return reference_model(cell=args.cell, output_activation=args.activation)
     except ValueError as exc:
@@ -302,7 +278,7 @@ def run_train(args) -> int:
     spec = _model_spec_from_args(args)
     records = parse_dataset(args.data)
     manifest, stored_norm = load_manifest(args.manifest)
-    train_batch, val_batch, _, normalizer = _split_batches(
+    train_batch, val_batch, normalizer = _split_batches(
         records, manifest, stored_norm, config.normalize, args.max_len
     )
     if train_batch.features.shape[2] != spec.input_dim:
@@ -314,7 +290,6 @@ def run_train(args) -> int:
     ckpt_path = directory / "checkpoint.txt"
     save_checkpoint(ckpt_path, params, normalizer,
                     seeds={"init_seed": config.seed, "shuffle_seed": config.seed})
-    history.checkpoint_path = str(ckpt_path)
     export_history(history, directory / "history.txt")
     _write_run_manifest(args, directory / "run_manifest.txt")
     print(
@@ -335,7 +310,7 @@ def run_grid(args) -> int:
     base = _train_config_from_args(args)
     records = parse_dataset(args.data)
     manifest, stored_norm = load_manifest(args.manifest)
-    train_batch, val_batch, _, _ = _split_batches(
+    train_batch, val_batch, _ = _split_batches(
         records, manifest, stored_norm, base.normalize, args.max_len
     )
     combos = grid_mod.parse_gridspec(args.gridspec) if args.gridspec else list(grid_mod.DEFAULT_GRID)
@@ -360,9 +335,8 @@ def run_grid(args) -> int:
 # evaluate / predict
 
 
-def _checkpoint_batch(ckpt, records, ids, max_len=None):
-    chosen = _records_for_ids(records, ids, "id list")
-    batch = pad_and_mask(chosen, max_len)
+def _checkpoint_batch(ckpt, records, ids):
+    batch = pad_and_mask(_records_for_ids(records, ids, "id list"))
     if ckpt.normalizer is not None:
         batch = apply_normalizer(ckpt.normalizer, batch)
     if batch.features.shape[2] != ckpt.params.spec.input_dim:
@@ -435,8 +409,8 @@ def run_gradcheck(args) -> int:
     print(header)
     lines = [header]
     failures = []
-    for cell in ("lstm", "gru"):
-        for loss in ("mse", "euclidean"):
+    for cell in CELL_KINDS:
+        for loss in LOSS_KINDS:
             params, batch, masks = gradcheck_case(cell, args.seed)
             worst_err, worst_coord = check_gradients(params, batch, loss, h=args.h,
                                                      dropout_masks=masks)
@@ -468,7 +442,7 @@ def _build_parser():
     _add(p, r, "--n", type=int, default=100, help="number of records")
     _add(p, r, "--out", default="data.jsonl", help="output dataset path")
     _add(p, r, "--ranges", default=None, help="JSON ranges file (optional trajectory block)")
-    _add(p, r, "--noise", type=float, default=0.0, help="weight sensor noise sigma, lbf")
+    _add(p, r, "--noise", type=float, default=0.0, help="weight sensor noise sigma, lbf (the only noise setting)")
     _common(p, r)
 
     p = sub.add_parser("split", help="write a train/val/test split manifest")
@@ -482,7 +456,7 @@ def _build_parser():
     def add_train_flags(p, r, epochs_default):
         _add(p, r, "--data", default=None, help="dataset path")
         _add(p, r, "--manifest", default=None, help="split manifest path")
-        _add(p, r, "--loss", choices=("mse", "euclidean"), default="euclidean", help="training loss")
+        _add(p, r, "--loss", choices=LOSS_KINDS, default="euclidean", help="training loss")
         _add(p, r, "--lr", type=float, default=1e-4, help="Adam learning rate")
         _add(p, r, "--epochs", type=int, default=epochs_default, help="epoch budget")
         _add(p, r, "--batch-size", type=int, default=32, help="mini-batch size")
@@ -494,8 +468,8 @@ def _build_parser():
     p = sub.add_parser("train", help="train one model")
     r = registries["train"] = {}
     add_train_flags(p, r, epochs_default=2000)
-    _add(p, r, "--cell", choices=("lstm", "gru"), default="lstm", help="recurrent cell kind")
-    _add(p, r, "--activation", choices=("linear", "relu"), default="relu", help="dense layers' activation")
+    _add(p, r, "--cell", choices=CELL_KINDS, default="lstm", help="recurrent cell kind")
+    _add(p, r, "--activation", choices=OUTPUT_ACTIVATIONS, default="relu", help="dense layers' activation")
     _add(p, r, "--spec", default=None, help="model spec JSON file (overrides --cell/--activation)")
     _common(p, r, out_dir_default="run")
 
@@ -512,7 +486,7 @@ def _build_parser():
     _add(p, r, "--data", default=None, help="dataset path")
     _add(p, r, "--manifest", default=None, help="split manifest (needed with --split)")
     _add(p, r, "--split", choices=("train", "val", "test"), default=None, help="score one split only")
-    _add(p, r, "--loss", choices=("mse", "euclidean"), default="euclidean", help="metric")
+    _add(p, r, "--loss", choices=LOSS_KINDS, default="euclidean", help="metric")
     _add(p, r, "--out", default=None, help="metrics file (default <out-dir>/metrics.txt)")
     _common(p, r)
 

@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import DatasetFormatError
 
-# Padding length used by the reference pouring corpus.
-DEFAULT_MAX_LEN = 1099
-
 # Column order of the per-timestep input matrix. theta varies along the
 # sequence; the remaining eight are static and repeat at every step.
 FEATURE_ORDER = (
@@ -93,12 +90,15 @@ def validate_record(record: PourRecord) -> list[str]:
     scalars_ok = True
     for name in _SCALAR_FIELDS:
         value = getattr(record, name)
-        if not np.isfinite(value):
+        if not isinstance(value, (float, int, np.number)):
+            problems.append(f"{name} must be a number (got {value!r})")
+            scalars_ok = False
+        elif not np.isfinite(value):
             problems.append(f"{name} must be finite")
             scalars_ok = False
     for name in _POSITIVE_FIELDS:
         value = getattr(record, name)
-        if np.isfinite(value) and not value > 0:
+        if isinstance(value, (float, int, np.number)) and np.isfinite(value) and not value > 0:
             problems.append(f"{name} must be > 0 (got {value!r})")
     if scalars_ok:
         if record.f_final > record.f_init:
@@ -243,9 +243,6 @@ class Normalizer:
     def transform_features(self, x):
         return (np.asarray(x, dtype=np.float64) - self.feature_offset) / self.feature_scale
 
-    def invert_features(self, x):
-        return np.asarray(x, dtype=np.float64) * self.feature_scale + self.feature_offset
-
     def transform_targets(self, y):
         return (np.asarray(y, dtype=np.float64) - self.target_offset) / self.target_scale
 
@@ -321,7 +318,7 @@ def serialize_dataset(records, path) -> None:
 
 
 def parse_dataset(path) -> list[PourRecord]:
-    """Read a dataset file, validating every record. Errors cite the line number."""
+    """Read a dataset file, validating every record. Errors cite the file and line."""
     records = []
     key_set = set(DATASET_KEYS)
     with open(path) as handle:
@@ -331,9 +328,9 @@ def parse_dataset(path) -> list[PourRecord]:
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"line {lineno}: not a valid record ({exc.msg})") from exc
+                raise DatasetFormatError(f"{path}: line {lineno}: not a valid record ({exc.msg})") from exc
             if not isinstance(doc, dict):
-                raise DatasetFormatError(f"line {lineno}: record must be a JSON object")
+                raise DatasetFormatError(f"{path}: line {lineno}: record must be a JSON object")
             missing = key_set - doc.keys()
             extra = doc.keys() - key_set
             if missing or extra:
@@ -342,14 +339,14 @@ def parse_dataset(path) -> list[PourRecord]:
                     parts.append("missing keys " + ", ".join(sorted(missing)))
                 if extra:
                     parts.append("unknown keys " + ", ".join(sorted(extra)))
-                raise DatasetFormatError(f"line {lineno}: " + "; ".join(parts))
+                raise DatasetFormatError(f"{path}: line {lineno}: " + "; ".join(parts))
             try:
                 record = PourRecord(**{k: doc[k] for k in DATASET_KEYS})
             except (TypeError, ValueError) as exc:
-                raise DatasetFormatError(f"line {lineno}: {exc}") from exc
+                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
             problems = validate_record(record)
             if problems:
-                raise DatasetFormatError(f"line {lineno}: " + "; ".join(problems))
+                raise DatasetFormatError(f"{path}: line {lineno}: " + "; ".join(problems))
             records.append(record)
     return records
 

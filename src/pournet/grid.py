@@ -7,12 +7,9 @@ from dataclasses import dataclass, replace
 
 from .data import PaddedBatch
 from .errors import DatasetFormatError
-from .nn import reference_model
+from .losses import LOSS_KINDS
+from .nn import CELL_KINDS, OUTPUT_ACTIVATIONS, reference_model
 from .train import TrainConfig, evaluate, train
-
-_CELLS = ("lstm", "gru")
-_LOSSES = ("mse", "euclidean")
-_ACTIVATIONS = ("linear", "relu")
 
 
 @dataclass(frozen=True)
@@ -23,12 +20,12 @@ class GridCombo:
     epochs: int
 
     def __post_init__(self):
-        if self.cell not in _CELLS:
-            raise ValueError(f"cell must be one of {_CELLS} (got {self.cell!r})")
-        if self.loss not in _LOSSES:
-            raise ValueError(f"loss must be one of {_LOSSES} (got {self.loss!r})")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS} (got {self.activation!r})")
+        if self.cell not in CELL_KINDS:
+            raise ValueError(f"cell must be one of {CELL_KINDS} (got {self.cell!r})")
+        if self.loss not in LOSS_KINDS:
+            raise ValueError(f"loss must be one of {LOSS_KINDS} (got {self.loss!r})")
+        if self.activation not in OUTPUT_ACTIVATIONS:
+            raise ValueError(f"activation must be one of {OUTPUT_ACTIVATIONS} (got {self.activation!r})")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1 (got {self.epochs!r})")
 

@@ -35,17 +35,13 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def masked_mse(pred, target, mask) -> float:
-    """Mean squared error over valid positions only."""
-    _, sq, count = _masked_residual(pred, target, mask, per_sequence=False)
-    return float(sq / count)
-
-
-def masked_euclidean(pred, target, mask) -> float:
-    """Mean over sequences of the per-sequence Euclidean distance
-    sqrt(sum over valid steps of squared residual)."""
-    _, sq, _ = _masked_residual(pred, target, mask, per_sequence=True)
-    return float(np.sqrt(sq).mean())
+def loss_value(kind: str, pred, target, mask) -> float:
+    """mse: mean squared error over valid positions. euclidean: mean over
+    sequences of the Euclidean distance sqrt(sum over valid steps of squared
+    residual)."""
+    _check_kind(kind)
+    _, sq, counts = _masked_residual(pred, target, mask, per_sequence=kind == "euclidean")
+    return float(sq / counts) if kind == "mse" else float(np.sqrt(sq).mean())
 
 
 def per_sequence_metric(kind: str, pred, target, mask) -> np.ndarray:

@@ -12,12 +12,15 @@ Conventions fixed across the package:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+CELL_KINDS = ("lstm", "gru")
+LAYER_KINDS = CELL_KINDS + ("dense", "dropout")
 RECURRENT_ACTIVATIONS = ("hard_sigmoid", "sigmoid")
-LAYER_KINDS = ("lstm", "gru", "dense", "dropout")
+# Activations of the reference model's dense layers.
+OUTPUT_ACTIVATIONS = ("linear", "relu")
 # model_forward scores at most this many sequences per forward pass.
 _CHUNK_ROWS = 64
 
@@ -135,7 +138,7 @@ class ModelSpec:
                 raise ValueError(f"layer {i}: units must be >= 1")
             if layer.activation not in ACTIVATION_KINDS:
                 raise ValueError(f"layer {i}: unknown activation {layer.activation!r}")
-            if layer.kind in ("lstm", "gru") and layer.recurrent_activation not in RECURRENT_ACTIVATIONS:
+            if layer.kind in CELL_KINDS and layer.recurrent_activation not in RECURRENT_ACTIVATIONS:
                 raise ValueError(f"layer {i}: unknown recurrent activation {layer.recurrent_activation!r}")
 
     def widths(self) -> list:
@@ -146,23 +149,8 @@ class ModelSpec:
             widths.append(widths[-1] if layer.kind == "dropout" else layer.units)
         return widths
 
-    def output_dim(self) -> int:
-        return self.widths()[-1]
-
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "layers": [
-                {
-                    "kind": l.kind,
-                    "units": l.units,
-                    "activation": l.activation,
-                    "recurrent_activation": l.recurrent_activation,
-                    "rate": l.rate,
-                }
-                for l in self.layers
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelSpec":
@@ -183,10 +171,10 @@ def reference_model(cell: str = "lstm", output_activation: str = "relu") -> Mode
     layers' activation. Recurrent layers always use tanh with hard-sigmoid
     gates and return full sequences.
     """
-    if cell not in ("lstm", "gru"):
-        raise ValueError(f"cell must be lstm or gru (got {cell!r})")
-    if output_activation not in ("linear", "relu"):
-        raise ValueError(f"output_activation must be linear or relu (got {output_activation!r})")
+    if cell not in CELL_KINDS:
+        raise ValueError(f"cell must be one of {CELL_KINDS} (got {cell!r})")
+    if output_activation not in OUTPUT_ACTIVATIONS:
+        raise ValueError(f"output_activation must be one of {OUTPUT_ACTIVATIONS} (got {output_activation!r})")
     rnn = lambda: LayerSpec(cell, units=16, activation="tanh", recurrent_activation="hard_sigmoid")
     head = lambda: LayerSpec("dense", units=1, activation=output_activation)
     return ModelSpec(
@@ -301,10 +289,6 @@ class ModelParams:
         if flat.ndim != 1 or flat.size != count_params(spec):
             raise ValueError(f"expected a vector of {count_params(spec)} parameters, got shape {flat.shape}")
         return cls(spec, flat, _layer_views(spec, flat))
-
-    @property
-    def num_params(self) -> int:
-        return int(self.flat.size)
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -756,20 +740,18 @@ def backward_through_layers(params: ModelParams, caches, dpred):
     return grad
 
 
-def model_forward(params: ModelParams, batch, mode: str = "eval",
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+def model_forward(params: ModelParams, batch, mode: str = "eval") -> np.ndarray:
     """Predictions [n, max_len, output_dim] for a PaddedBatch.
 
     Rows run through `forward` in near-equal chunks of at most 64, so memory
     stays bounded on large corpora. No chunk has a single row unless the
     batch has one: a one-row chunk would turn the kernel products into
-    matrix-vector products, which round differently. Train-mode dropout draws
-    its masks chunk by chunk. Values at masked steps are defined but meant to
-    be excluded by the mask in any loss.
+    matrix-vector products, which round differently. Values at masked steps
+    are defined but meant to be excluded by the mask in any loss.
     """
     n = batch.features.shape[0]
     chunks = max(1, -(-n // _CHUNK_ROWS))
     edges = [n * i // chunks for i in range(chunks + 1)]
-    preds = [forward(params, batch.features[lo:hi], batch.mask[lo:hi], mode=mode, rng=rng,
-                     want_cache=False)[0] for lo, hi in zip(edges, edges[1:])]
+    preds = [forward(params, batch.features[lo:hi], batch.mask[lo:hi], mode=mode, want_cache=False)[0]
+             for lo, hi in zip(edges, edges[1:])]
     return preds[0] if chunks == 1 else np.concatenate(preds)

@@ -7,7 +7,7 @@ mm^3, weight in lbf.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -166,6 +166,37 @@ class TrajectoryConfig:
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TrajectoryConfig":
+        """A ranges file's trajectory block: length, ramp_frac, final_tilt and
+        jitter_deg, each optional. noise_sigma and seed are not file settings;
+        any other key raises ValueError."""
+        converters = {"length": _pair, "ramp_frac": float, "final_tilt": _pair, "jitter_deg": float}
+        return cls(**_fields(doc, converters, "trajectory"))
+
+
+def _pair(value) -> tuple:
+    pair = tuple(value)
+    if len(pair) != 2:
+        raise ValueError(f"expected [lo, hi], got {value!r}")
+    return pair
+
+
+def _fields(doc, converters: dict, where: str) -> dict:
+    """Each key of a JSON object through its converter. A key without one,
+    or a doc that is not an object, raises ValueError; messages name `where`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    out = {}
+    for key, value in doc.items():
+        if key not in converters:
+            raise ValueError(f"unknown {where} key {key!r}")
+        try:
+            out[key] = converters[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where} key {key!r}: {exc}") from exc
+    return out
+
 
 _RANGE_FIELDS = ("d_cm", "h_cm", "d_cup", "h_cup", "rho_rel", "fill_frac")
 
@@ -194,24 +225,13 @@ class SimRanges:
         if self.fill_frac[1] > 1.0:
             raise ValueError("fill_frac must stay <= 1")
 
-    def scaled_cups(self, factor: float) -> "SimRanges":
-        """Both cups' dimensions scaled by `factor`; densities and fill unchanged."""
-        return SimRanges(
-            d_cm=(self.d_cm[0] * factor, self.d_cm[1] * factor),
-            h_cm=(self.h_cm[0] * factor, self.h_cm[1] * factor),
-            d_cup=(self.d_cup[0] * factor, self.d_cup[1] * factor),
-            h_cup=(self.h_cup[0] * factor, self.h_cup[1] * factor),
-            rho_rel=self.rho_rel,
-            fill_frac=self.fill_frac,
-        )
-
     def to_dict(self) -> dict:
         return {name: list(getattr(self, name)) for name in _RANGE_FIELDS}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimRanges":
-        kwargs = {name: tuple(doc[name]) for name in _RANGE_FIELDS if name in doc}
-        return cls(**kwargs)
+        """Any of the fields as [lo, hi]; unknown keys raise ValueError."""
+        return cls(**_fields(doc, dict.fromkeys(_RANGE_FIELDS, _pair), "ranges"))
 
 
 def default_ranges() -> SimRanges:
@@ -220,8 +240,11 @@ def default_ranges() -> SimRanges:
 
 
 def wide_cup_ranges() -> SimRanges:
-    """Cup dimensions doubled: every sampled cup lies outside the default ranges."""
-    return default_ranges().scaled_cups(2.0)
+    """Both cups' dimensions doubled, densities and fill unchanged: every
+    sampled cup lies outside the default ranges."""
+    base = default_ranges()
+    return replace(base, **{name: tuple(2.0 * v for v in getattr(base, name))
+                            for name in ("d_cm", "h_cm", "d_cup", "h_cup")})
 
 
 def gen_theta_trajectory(config: TrajectoryConfig, rng: np.random.Generator) -> np.ndarray:
@@ -244,20 +267,19 @@ def gen_theta_trajectory(config: TrajectoryConfig, rng: np.random.Generator) -> 
     return theta
 
 
-def generate_dataset(n: int, ranges: SimRanges, config: TrajectoryConfig, seed: int | None = None) -> list:
+def generate_dataset(n: int, ranges: SimRanges, config: TrajectoryConfig) -> list:
     """Synthesize n pouring trials.
 
-    Record k draws from its own stream seeded by (seed, k), so a record's
+    Record k draws from its own stream seeded by (config.seed, k), so a record's
     content does not depend on how many records are generated around it.
     Draw order per record: the six static scalars in SimRanges field order,
     then the trajectory, then sensor noise.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n!r})")
-    base = config.seed if seed is None else seed
     records = []
     for k in range(n):
-        rng = np.random.default_rng([base, k])
+        rng = np.random.default_rng([config.seed, k])
         d_cm = float(rng.uniform(*ranges.d_cm))
         h_cm = float(rng.uniform(*ranges.h_cm))
         d_cup = float(rng.uniform(*ranges.d_cup))

@@ -8,7 +8,7 @@ import numpy as np
 from .data import PaddedBatch
 from .errors import NumericalError
 from .grad import backward
-from .losses import LOSS_KINDS, masked_euclidean, masked_mse, per_sequence_metric
+from .losses import LOSS_KINDS, loss_value, per_sequence_metric
 from .nn import ModelParams, ModelSpec, build_model, model_forward
 from .optim import AdamState, adam_step
 
@@ -24,9 +24,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     patience: int | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     normalize: bool = True
     clip_norm: float | None = None
 
@@ -42,8 +39,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1 (got {self.batch_size!r})")
         if self.patience is not None and self.patience < 1:
             raise ValueError(f"patience must be >= 1 when set (got {self.patience!r})")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0 and self.eps > 0):
-            raise ValueError("bad Adam hyperparameters")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be > 0 when set (got {self.clip_norm!r})")
 
@@ -57,7 +52,6 @@ class RunHistory:
     val_loss: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
     best_epoch: int = 0
-    checkpoint_path: str | None = None
 
     @property
     def epochs_run(self) -> int:
@@ -73,21 +67,16 @@ class EvalResult:
 def evaluate(params: ModelParams, batch: PaddedBatch, loss_kind: str = "euclidean") -> EvalResult:
     """Eval-mode loss plus the per-sequence metric breakdown."""
     preds = model_forward(params, batch, mode="eval")
-    if loss_kind == "mse":
-        loss = masked_mse(preds, batch.targets, batch.mask)
-    elif loss_kind == "euclidean":
-        loss = masked_euclidean(preds, batch.targets, batch.mask)
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    return EvalResult(loss=loss, per_sequence=per_sequence_metric(loss_kind, preds, batch.targets, batch.mask))
+    return EvalResult(loss=loss_value(loss_kind, preds, batch.targets, batch.mask),
+                      per_sequence=per_sequence_metric(loss_kind, preds, batch.targets, batch.mask))
 
 
-def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch,
-          config: TrainConfig, init_seed: int | None = None):
+def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch, config: TrainConfig):
     """Seeded mini-batch Adam training; returns (ModelParams, RunHistory).
 
-    Each epoch reshuffles with the run RNG, walks the batches, and then
-    scores the validation batch in eval mode. The recorded training loss is
+    config.seed seeds both the initial weights and the run RNG. Each epoch
+    reshuffles with the run RNG, walks the batches, and then scores the
+    validation batch in eval mode. The recorded training loss is
     the mean of the per-batch losses seen during the epoch. With patience
     set, training stops after that many epochs without a strictly better
     validation loss and the best-epoch parameters are restored.
@@ -99,7 +88,7 @@ def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch,
     if val_batch is None or val_batch.num_sequences < 1:
         raise ValueError("validation batch is empty")
     batch_size = min(config.batch_size, n)
-    params = build_model(spec, config.seed if init_seed is None else init_seed)
+    params = build_model(spec, config.seed)
     flat = params.flatten()
     state = AdamState.zeros(flat.size)
     rng = np.random.default_rng(config.seed)
@@ -121,8 +110,7 @@ def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch,
                 norm = float(np.linalg.norm(grads))
                 if norm > config.clip_norm:
                     grads = grads * (config.clip_norm / norm)
-            flat, state = adam_step(flat, grads, state, config.lr,
-                                    config.beta1, config.beta2, config.eps)
+            flat, state = adam_step(flat, grads, state, config.lr)
             batch_losses.append(loss)
         params = ModelParams.from_flat(spec, flat)
         val_loss = evaluate(params, val_batch, config.loss).loss

@@ -1,5 +1,7 @@
 """Text checkpoint format: bitwise round trips and strict parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,30 @@ def test_header_and_corruption_errors(tmp_path):
         nonfinite.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="non-finite value in layer 0 W"):
             load_checkpoint(nonfinite)
+
+
+def test_blocks_must_come_in_written_order(tmp_path):
+    spec = ModelSpec(input_dim=2, layers=[LayerSpec("dense", units=2), LayerSpec("dense", units=1)])
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, build_model(spec, init_seed=0))
+    lines = path.read_text().splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("param")] + [len(lines) - 1]
+    head, blocks = lines[: starts[0]], [lines[a:b] for a, b in zip(starts, starts[1:])]
+    assert [b[0] for b in blocks] == ["param 0 dense W 2 2", "param 0 dense b 2",
+                                      "param 1 dense W 1 2", "param 1 dense b 1"]
+    first = starts[0] + 1
+    wrong_shape = ["param 0 dense W 1 4", " ".join(blocks[0][1:])]
+    cases = {
+        "swapped": (blocks[1] + blocks[0] + blocks[2] + blocks[3], first, blocks[0][0]),
+        "missing": (blocks[0] + blocks[2] + blocks[3], first + 3, blocks[1][0]),
+        "extra": (blocks[0] + blocks[1] + blocks[2] + blocks[3] + blocks[3], len(lines), "end"),
+        "wrong_shape": (wrong_shape + blocks[1] + blocks[2] + blocks[3], first, blocks[0][0]),
+    }
+    for name, (body, lineno, expected) in cases.items():
+        bad = tmp_path / f"{name}.txt"
+        bad.write_text("\n".join(head + body + ["end"]) + "\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(f"line {lineno}: expected '{expected}'")):
+            load_checkpoint(bad)
 
 
 def test_missing_file(tmp_path):

@@ -73,6 +73,56 @@ def test_nonfinite_checkpoint_is_data_error(tmp_path, ws, capsys):
     assert not (tmp_path / "metrics.txt").exists()
 
 
+def _checkpoint_with_unknown_layer_key(ws, tmp_path):
+    lines = (ws["train_dir"] / "checkpoint.txt").read_text().splitlines()
+    spec = json.loads(lines[1][len("spec "):])
+    spec["layers"][0]["bogus"] = 1
+    lines[1] = "spec " + json.dumps(spec)
+    path = tmp_path / "ckpt.txt"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["evaluate", "--checkpoint", str(path), "--data", str(ws["data"]), "--out-dir", str(tmp_path)]
+    return argv, [str(path), "line 2", "bogus"]
+
+
+def _record_with_d_cup(value):
+    def make(ws, tmp_path):
+        lines = ws["data"].read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["d_cup"] = value
+        lines[1] = json.dumps(doc)
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return ["split", "--data", str(path), "--out", str(tmp_path / "m.json")], [str(path), "line 2", "d_cup"]
+    return make
+
+
+def _ranges_file(doc, key):
+    def make(ws, tmp_path):
+        path = tmp_path / "ranges.json"
+        path.write_text(json.dumps(doc))
+        return ["generate", "--n", "2", "--ranges", str(path), "--out", str(tmp_path / "d.jsonl")], [str(path), key]
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    _checkpoint_with_unknown_layer_key,
+    _record_with_d_cup("abc"),
+    _record_with_d_cup(None),
+    _ranges_file({"trajectory": {"length": 5}}, "length"),
+    _ranges_file({"d_cm": [60.0, 110.0], "bogus": [1, 2]}, "bogus"),
+    _ranges_file({"trajectory": {"length": [8, 14], "noise_sigma": 0.1}}, "noise_sigma"),
+    _ranges_file({"trajectory": [1, 2]}, "trajectory"),
+], ids=["checkpoint_layer_key", "record_d_cup_text", "record_d_cup_null", "trajectory_length_scalar",
+        "ranges_unknown_key", "trajectory_noise_sigma", "trajectory_not_object"])
+def test_malformed_input_is_data_error_naming_file_and_field(tmp_path, ws, capsys, make):
+    argv, named = make(ws, tmp_path)
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error")
+    for text in named:
+        assert text in err
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, ws):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("bogus=3\n")

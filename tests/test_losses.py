@@ -5,25 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pournet.losses import loss_and_grad, masked_euclidean, masked_mse, per_sequence_metric
+from pournet.losses import loss_and_grad, loss_value, per_sequence_metric
 
 
 def test_mse_frozen_example():
     pred = np.array([1.0, 2.0])
     target = np.zeros(2)
     mask = np.ones(2)
-    assert masked_mse(pred, target, mask) == pytest.approx(2.5, rel=0, abs=1e-15)
+    assert loss_value("mse", pred, target, mask) == pytest.approx(2.5, rel=0, abs=1e-15)
 
 
 def test_mse_perfect_and_gated():
     pred = np.array([[0.3, -0.7, 9.9]])
     target = np.array([[0.3, -0.7, 0.0]])
     mask = np.array([[1.0, 1.0, 0.0]])
-    assert masked_mse(pred, target, mask) == 0.0
+    assert loss_value("mse", pred, target, mask) == 0.0
     # garbage under the mask contributes nothing
     pred2 = pred.copy()
     pred2[0, 2] = -1e9
-    assert masked_mse(pred2, target, mask) == 0.0
+    assert loss_value("mse", pred2, target, mask) == 0.0
 
 
 def test_euclidean_frozen_examples():
@@ -31,22 +31,22 @@ def test_euclidean_frozen_examples():
     pred = np.array([[1.0, 2.0, 2.0]])
     target = np.zeros((1, 3))
     mask = np.ones((1, 3))
-    assert masked_euclidean(pred, target, mask) == pytest.approx(3.0, abs=1e-15)
+    assert loss_value("euclidean", pred, target, mask) == pytest.approx(3.0, abs=1e-15)
     # two sequences with distances 3 and 4 -> mean 3.5
     pred = np.array([[1.0, 2.0, 2.0], [0.0, 4.0, 0.0]])
     target = np.zeros((2, 3))
     mask = np.ones((2, 3))
-    assert masked_euclidean(pred, target, mask) == pytest.approx(3.5, abs=1e-15)
-    assert masked_euclidean(target, target, mask) == 0.0
+    assert loss_value("euclidean", pred, target, mask) == pytest.approx(3.5, abs=1e-15)
+    assert loss_value("euclidean", target, target, mask) == 0.0
 
 
 def test_empty_mask_errors():
     with pytest.raises(ValueError):
-        masked_mse(np.ones(3), np.ones(3), np.zeros(3))
+        loss_value("mse", np.ones(3), np.ones(3), np.zeros(3))
     # one sequence fully padded
     mask = np.array([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        masked_euclidean(np.ones((2, 2)), np.zeros((2, 2)), mask)
+        loss_value("euclidean", np.ones((2, 2)), np.zeros((2, 2)), mask)
 
 
 def test_duplicating_sequences_keeps_euclidean_mean():
@@ -55,8 +55,8 @@ def test_duplicating_sequences_keeps_euclidean_mean():
     target = rng.normal(0, 1, size=(3, 6))
     mask = np.ones((3, 6))
     mask[1, 4:] = 0.0
-    base = masked_euclidean(pred, target, mask)
-    doubled = masked_euclidean(np.vstack([pred, pred]), np.vstack([target, target]),
+    base = loss_value("euclidean", pred, target, mask)
+    doubled = loss_value("euclidean", np.vstack([pred, pred]), np.vstack([target, target]),
                                np.vstack([mask, mask]))
     assert doubled == pytest.approx(base, rel=1e-15)
 
@@ -87,8 +87,8 @@ def test_loss_gradients_match_finite_differences(seed, kind):
         bump[s, t, 0] += h
         dip = pred.copy()
         dip[s, t, 0] -= h
-        lo = masked_mse(dip, target, mask) if kind == "mse" else masked_euclidean(dip, target, mask)
-        hi = masked_mse(bump, target, mask) if kind == "mse" else masked_euclidean(bump, target, mask)
+        lo = loss_value(kind, dip, target, mask)
+        hi = loss_value(kind, bump, target, mask)
         fd = (hi - lo) / (2 * h)
         assert grad[s, t, 0] == pytest.approx(fd, abs=1e-7)
 

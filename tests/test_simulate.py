@@ -232,14 +232,14 @@ def test_trajectory_config_validation():
 
 
 def test_generate_dataset_basic():
-    records = generate_dataset(5, default_ranges(), TrajectoryConfig(seed=1), seed=1)
+    records = generate_dataset(5, default_ranges(), TrajectoryConfig(seed=1))
     assert len(records) == 5
     for rec in records:
         assert TrajectoryConfig().length[0] <= rec.length <= TrajectoryConfig().length[1]
 
 
 def test_generate_noise_free_is_monotone():
-    records = generate_dataset(6, default_ranges(), TrajectoryConfig(seed=2, noise_sigma=0.0), seed=2)
+    records = generate_dataset(6, default_ranges(), TrajectoryConfig(seed=2, noise_sigma=0.0))
     for rec in records:
         assert np.all(np.diff(rec.weight) <= 1e-12)
         assert rec.f_final == rec.weight[-1]
@@ -249,8 +249,8 @@ def test_generate_noise_free_is_monotone():
 
 
 def test_generate_determinism():
-    a = generate_dataset(4, default_ranges(), TrajectoryConfig(seed=9), seed=9)
-    b = generate_dataset(4, default_ranges(), TrajectoryConfig(seed=9), seed=9)
+    a = generate_dataset(4, default_ranges(), TrajectoryConfig(seed=9))
+    b = generate_dataset(4, default_ranges(), TrajectoryConfig(seed=9))
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.theta, rb.theta)
         assert np.array_equal(ra.weight, rb.weight)
@@ -261,7 +261,7 @@ def test_wide_ranges_leave_default_interval():
     wide = wide_cup_ranges()
     lo, hi = default_ranges().d_cm
     assert wide.d_cm[0] > hi or wide.d_cm[1] < lo
-    records = generate_dataset(8, wide, TrajectoryConfig(seed=3), seed=3)
+    records = generate_dataset(8, wide, TrajectoryConfig(seed=3))
     for rec in records:
         assert not (lo <= rec.d_cm <= hi)
 

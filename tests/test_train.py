@@ -18,7 +18,7 @@ TINY_SPEC = ModelSpec(input_dim=9, layers=[
 
 def tiny_batches(n=12, seed=0):
     records = generate_dataset(n, default_ranges(),
-                               TrajectoryConfig(length=(8, 14), seed=seed), seed=seed)
+                               TrajectoryConfig(length=(8, 14), seed=seed))
     manifest = split_dataset(records, seed=seed)
     norm = fit_normalizer([records[i] for i in manifest.train_ids])
     grab = lambda ids: apply_normalizer(norm, pad_and_mask([records[i] for i in ids], 14))

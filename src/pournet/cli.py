@@ -1,14 +1,17 @@
 """Command-line interface.
 
 Subcommands: generate, split, train, grid, evaluate, predict, gradcheck.
-Every subcommand accepts --seed, --out-dir, and --config <file>. The config
-file holds key=value lines matching the long flag names; explicit flags
-override it. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure.
+Every subcommand accepts --seed, --out-dir, and --config <file>. Each
+key=value line of a config file stands for the flag --key=value, placed
+before the command line's own flags, so those win. A boolean line
+(raw=true) is the bare flag when true and nothing when false; a line with an
+empty value is nothing. Errors in a config value name the file. Exit codes:
+0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -47,21 +50,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+def _config_argv(path, subparser) -> list:
+    """The flags a config file stands for, in the form --key=value.
 
-
-def _read_config(path) -> dict:
-    values = {}
+    Blank and # lines are skipped, and a repeated key keeps its last value.
+    """
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    values = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -70,58 +68,29 @@ def _read_config(path) -> dict:
             raise UsageError(f"{path}: line {lineno}: expected key=value")
         key, _, value = stripped.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _add(parser, registry, *flags, type=str, default=None, choices=None, flag=False, help=""):
-    """Register an option with its converter and builtin default.
-
-    Arguments are parsed with default None so a later pass can layer
-    CLI > config file > builtin.
-    """
-    name = flags[0].lstrip("-").replace("-", "_")
-    if flag:
-        parser.add_argument(*flags, dest=name, action="store_const", const=True, default=None, help=help)
-        registry[name] = (_parse_bool, default if default is not None else False)
-    else:
-        parser.add_argument(*flags, dest=name, type=type, default=None, choices=choices, help=help)
-        conv = type
-        if choices is not None:
-            def conv(text, _type=type, _choices=choices):
-                value = _type(text)
-                if value not in _choices:
-                    raise ValueError(f"must be one of {_choices}: {value!r}")
-                return value
-        registry[name] = (conv, default)
-    return registry
-
-
-def _resolve(args, registry):
-    """Fill unset options from the config file, then from builtin defaults."""
-    file_values = _read_config(args.config) if args.config else {}
-    unknown = set(file_values) - set(registry)
+    options = {action.dest: action for action in subparser._actions
+               if action.option_strings and action.dest not in ("help", "config")}
+    unknown = set(values) - set(options)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for name, (conv, default) in registry.items():
-        if getattr(args, name) is not None:
+    argv = []
+    for key, value in values.items():
+        if value == "":
             continue
-        if name in file_values:
-            raw = file_values[name]
-            if raw == "":
-                setattr(args, name, default)
-                continue
-            try:
-                setattr(args, name, conv(raw))
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"config key {name}: {exc}") from exc
-        else:
-            setattr(args, name, default)
+        flag = options[key].option_strings[0]
+        if options[key].nargs != 0:
+            argv.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            argv.append(flag)
+        elif value.lower() not in ("0", "false", "no", "off"):
+            raise UsageError(f"{path}: config key {key}: not a boolean: {value!r}")
+    return argv
 
 
-def _common(parser, registry, out_dir_default="."):
-    _add(parser, registry, "--seed", type=int, default=0, help="RNG seed")
-    _add(parser, registry, "--out-dir", default=out_dir_default, help="directory for output files")
-    parser.add_argument("--config", default=None, help="key=value file; flags override it")
+def _common(parser, out_dir_default="."):
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+    parser.add_argument("--out-dir", default=out_dir_default, help="directory for output files")
+    parser.add_argument("--config", help="key=value file; flags override it")
 
 
 def _out_dir(args) -> Path:
@@ -156,8 +125,8 @@ def _parse_ranges(doc):
 def run_generate(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
-    if args.noise < 0:
-        raise UsageError("--noise must be >= 0")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise UsageError("--noise must be finite and >= 0")
     ranges, config = _load_json(args.ranges, "ranges", _parse_ranges) if args.ranges else _parse_ranges({})
     config = replace(config, noise_sigma=args.noise, seed=args.seed)
     records = generate_dataset(args.n, ranges, config)
@@ -208,19 +177,21 @@ def _records_for_ids(records, ids, what):
     return [records[i] for i in ids]
 
 
-def _split_batches(records, manifest, normalizer, normalize, max_len=None):
-    """(train_batch, val_batch, normalizer_in_use).
+def _split_batches(args):
+    """(train_batch, val_batch, normalizer_in_use) from --data, --manifest,
+    --raw and --max-len.
 
-    max_len defaults to the longest record of the whole dataset, so the pad
-    length does not depend on the split.
+    The pad length defaults to the longest record of the whole dataset, so it
+    does not depend on the split.
     """
-    if max_len is None:
-        max_len = max(r.length for r in records)
+    records = parse_dataset(args.data)
+    manifest, normalizer = load_manifest(args.manifest)
+    max_len = max(r.length for r in records) if args.max_len is None else args.max_len
     train_records = _records_for_ids(records, manifest.train_ids, "train split")
     _records_for_ids(records, manifest.test_ids, "test split")  # ids checked; no batch is built
     batches = [pad_and_mask(train_records, max_len),
                pad_and_mask(_records_for_ids(records, manifest.val_ids, "val split"), max_len)]
-    if not normalize:
+    if args.raw:
         return (*batches, None)
     if normalizer is None:
         normalizer = fit_normalizer(train_records)
@@ -235,7 +206,6 @@ def _train_config_from_args(args) -> TrainConfig:
         batch_size=args.batch_size,
         seed=args.seed,
         patience=args.patience,
-        normalize=not args.raw,
         clip_norm=args.clip,
     )
     try:
@@ -276,11 +246,7 @@ def _write_run_manifest(args, path) -> None:
 def run_train(args) -> int:
     config = _train_config_from_args(args)
     spec = _model_spec_from_args(args)
-    records = parse_dataset(args.data)
-    manifest, stored_norm = load_manifest(args.manifest)
-    train_batch, val_batch, normalizer = _split_batches(
-        records, manifest, stored_norm, config.normalize, args.max_len
-    )
+    train_batch, val_batch, normalizer = _split_batches(args)
     if train_batch.features.shape[2] != spec.input_dim:
         raise DatasetFormatError(
             f"model expects {spec.input_dim} features, dataset provides {train_batch.features.shape[2]}"
@@ -305,14 +271,10 @@ def run_train(args) -> int:
 
 
 def run_grid(args) -> int:
-    if args.epoch_scale <= 0:
-        raise UsageError("--epoch-scale must be > 0")
+    if not (math.isfinite(args.epoch_scale) and args.epoch_scale > 0):
+        raise UsageError("--epoch-scale must be finite and > 0")
     base = _train_config_from_args(args)
-    records = parse_dataset(args.data)
-    manifest, stored_norm = load_manifest(args.manifest)
-    train_batch, val_batch, _ = _split_batches(
-        records, manifest, stored_norm, base.normalize, args.max_len
-    )
+    train_batch, val_batch, _ = _split_batches(args)
     combos = grid_mod.parse_gridspec(args.gridspec) if args.gridspec else list(grid_mod.DEFAULT_GRID)
     report = grid_mod.run_grid(train_batch, val_batch, combos, base, epoch_scale=args.epoch_scale)
     directory = _out_dir(args)
@@ -403,8 +365,8 @@ def run_predict(args) -> int:
 
 
 def run_gradcheck(args) -> int:
-    if args.h <= 0 or args.tol <= 0:
-        raise UsageError("--h and --tol must be > 0")
+    if not all(math.isfinite(v) and v > 0 for v in (args.h, args.tol)):
+        raise UsageError("--h and --tol must be finite and > 0")
     header = f"# h={args.h:g} tol={args.tol:g} seed={args.seed}"
     print(header)
     lines = [header]
@@ -414,11 +376,11 @@ def run_gradcheck(args) -> int:
             params, batch, masks = gradcheck_case(cell, args.seed)
             worst_err, worst_coord = check_gradients(params, batch, loss, h=args.h,
                                                      dropout_masks=masks)
-            verdict = "PASS" if worst_err < args.tol else "FAIL"
-            line = f"{cell} {loss}: max_rel_err={worst_err:.3e} (coord {worst_coord}) {verdict}"
+            passed = worst_err < args.tol  # False for a NaN error
+            line = f"{cell} {loss}: max_rel_err={worst_err:.3e} (coord {worst_coord}) {'PASS' if passed else 'FAIL'}"
             lines.append(line)
             print(line)
-            if worst_err >= args.tol:
+            if not passed:
                 failures.append(f"{cell}/{loss} coord {worst_coord} err {worst_err:.3e}")
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n")
@@ -435,76 +397,69 @@ def _build_parser():
     parser = _Parser(prog="pournet",
                      description="Estimate a pouring cup's weight sequence from its rotation sequence.")
     sub = parser.add_subparsers(dest="command")
-    registries = {}
+    parser.commands = sub.choices  # subcommand name -> its parser
 
-    p = sub.add_parser("generate", help="synthesize a pouring dataset", add_help=True)
-    r = registries["generate"] = {}
-    _add(p, r, "--n", type=int, default=100, help="number of records")
-    _add(p, r, "--out", default="data.jsonl", help="output dataset path")
-    _add(p, r, "--ranges", default=None, help="JSON ranges file (optional trajectory block)")
-    _add(p, r, "--noise", type=float, default=0.0, help="weight sensor noise sigma, lbf (the only noise setting)")
-    _common(p, r)
+    p = sub.add_parser("generate", help="synthesize a pouring dataset")
+    p.add_argument("--n", type=int, default=100, help="number of records")
+    p.add_argument("--out", default="data.jsonl", help="output dataset path")
+    p.add_argument("--ranges", help="JSON ranges file (optional trajectory block)")
+    p.add_argument("--noise", type=float, default=0.0, help="weight sensor noise sigma, lbf (the only noise setting)")
+    _common(p)
 
     p = sub.add_parser("split", help="write a train/val/test split manifest")
-    r = registries["split"] = {}
-    _add(p, r, "--data", default=None, help="dataset path")
-    _add(p, r, "--out", default=None, help="manifest path (default <out-dir>/manifest.json)")
-    _add(p, r, "--train-frac", type=float, default=0.8, help="training fraction")
-    _add(p, r, "--val-frac", type=float, default=0.7, help="validation fraction of the remainder")
-    _common(p, r)
+    p.add_argument("--data", help="dataset path")
+    p.add_argument("--out", help="manifest path (default <out-dir>/manifest.json)")
+    p.add_argument("--train-frac", type=float, default=0.8, help="training fraction")
+    p.add_argument("--val-frac", type=float, default=0.7, help="validation fraction of the remainder")
+    _common(p)
 
-    def add_train_flags(p, r, epochs_default):
-        _add(p, r, "--data", default=None, help="dataset path")
-        _add(p, r, "--manifest", default=None, help="split manifest path")
-        _add(p, r, "--loss", choices=LOSS_KINDS, default="euclidean", help="training loss")
-        _add(p, r, "--lr", type=float, default=1e-4, help="Adam learning rate")
-        _add(p, r, "--epochs", type=int, default=epochs_default, help="epoch budget")
-        _add(p, r, "--batch-size", type=int, default=32, help="mini-batch size")
-        _add(p, r, "--patience", type=int, default=None, help="early-stopping patience (off when unset)")
-        _add(p, r, "--clip", type=float, default=None, help="global gradient-norm clip (off when unset)")
-        _add(p, r, "--raw", flag=True, help="skip feature/target normalization")
-        _add(p, r, "--max-len", type=int, default=None, help="pad length (default: longest record)")
+    def add_train_flags(p):
+        p.add_argument("--data", help="dataset path")
+        p.add_argument("--manifest", help="split manifest path")
+        p.add_argument("--loss", choices=LOSS_KINDS, default="euclidean", help="training loss")
+        p.add_argument("--lr", type=float, default=1e-4, help="Adam learning rate")
+        p.add_argument("--epochs", type=int, default=2000, help="epoch budget")
+        p.add_argument("--batch-size", type=int, default=32, help="mini-batch size")
+        p.add_argument("--patience", type=int, help="early-stopping patience (off when unset)")
+        p.add_argument("--clip", type=float, help="global gradient-norm clip (off when unset)")
+        p.add_argument("--raw", action="store_true", help="skip feature/target normalization")
+        p.add_argument("--max-len", type=int, help="pad length (default: longest record)")
 
     p = sub.add_parser("train", help="train one model")
-    r = registries["train"] = {}
-    add_train_flags(p, r, epochs_default=2000)
-    _add(p, r, "--cell", choices=CELL_KINDS, default="lstm", help="recurrent cell kind")
-    _add(p, r, "--activation", choices=OUTPUT_ACTIVATIONS, default="relu", help="dense layers' activation")
-    _add(p, r, "--spec", default=None, help="model spec JSON file (overrides --cell/--activation)")
-    _common(p, r, out_dir_default="run")
+    add_train_flags(p)
+    p.add_argument("--cell", choices=CELL_KINDS, default="lstm", help="recurrent cell kind")
+    p.add_argument("--activation", choices=OUTPUT_ACTIVATIONS, default="relu", help="dense layers' activation")
+    p.add_argument("--spec", help="model spec JSON file (overrides --cell/--activation)")
+    _common(p, out_dir_default="run")
 
     p = sub.add_parser("grid", help="train every combo of the experiment grid")
-    r = registries["grid"] = {}
-    add_train_flags(p, r, epochs_default=2000)
-    _add(p, r, "--gridspec", default=None, help="JSONL combo file (default: the bundled 7-combo grid)")
-    _add(p, r, "--epoch-scale", type=float, default=1.0, help="multiply every combo's epochs (0.01: 2000 -> 20)")
-    _common(p, r, out_dir_default="grid")
+    add_train_flags(p)
+    p.add_argument("--gridspec", help="JSONL combo file (default: the bundled 7-combo grid)")
+    p.add_argument("--epoch-scale", type=float, default=1.0, help="multiply every combo's epochs (0.01: 2000 -> 20)")
+    _common(p, out_dir_default="grid")
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
-    r = registries["evaluate"] = {}
-    _add(p, r, "--checkpoint", default=None, help="checkpoint path")
-    _add(p, r, "--data", default=None, help="dataset path")
-    _add(p, r, "--manifest", default=None, help="split manifest (needed with --split)")
-    _add(p, r, "--split", choices=("train", "val", "test"), default=None, help="score one split only")
-    _add(p, r, "--loss", choices=LOSS_KINDS, default="euclidean", help="metric")
-    _add(p, r, "--out", default=None, help="metrics file (default <out-dir>/metrics.txt)")
-    _common(p, r)
+    p.add_argument("--checkpoint", help="checkpoint path")
+    p.add_argument("--data", help="dataset path")
+    p.add_argument("--manifest", help="split manifest (needed with --split)")
+    p.add_argument("--split", choices=("train", "val", "test"), help="score one split only")
+    p.add_argument("--loss", choices=LOSS_KINDS, default="euclidean", help="metric")
+    p.add_argument("--out", help="metrics file (default <out-dir>/metrics.txt)")
+    _common(p)
 
     p = sub.add_parser("predict", help="write actual/predicted series for chosen records")
-    r = registries["predict"] = {}
-    _add(p, r, "--checkpoint", default=None, help="checkpoint path")
-    _add(p, r, "--data", default=None, help="dataset path")
-    _add(p, r, "--ids", default=None, help="comma-separated record ids")
-    _common(p, r)
+    p.add_argument("--checkpoint", help="checkpoint path")
+    p.add_argument("--data", help="dataset path")
+    p.add_argument("--ids", help="comma-separated record ids")
+    _common(p)
 
     p = sub.add_parser("gradcheck", help="compare backprop against finite differences")
-    r = registries["gradcheck"] = {}
-    _add(p, r, "--h", type=float, default=FD_STEP, help="finite-difference step")
-    _add(p, r, "--tol", type=float, default=FD_TOL, help="max relative error allowed")
-    _add(p, r, "--out", default=None, help="also write the report here")
-    _common(p, r)
+    p.add_argument("--h", type=float, default=FD_STEP, help="finite-difference step")
+    p.add_argument("--tol", type=float, default=FD_TOL, help="max relative error allowed")
+    p.add_argument("--out", help="also write the report here")
+    _common(p)
 
-    return parser, registries
+    return parser
 
 
 _RUNNERS = {
@@ -527,12 +482,19 @@ _REQUIRED = {
 
 
 def main(argv=None) -> int:
-    parser, registries = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError("a subcommand is required (see --help)")
-        _resolve(args, registries[args.command])
+        if args.config:
+            at = argv.index(args.command) + 1
+            config_argv = _config_argv(args.config, parser.commands[args.command])
+            try:  # the command line's flags parsed on their own, so a config flag failed
+                args = parser.parse_args(argv[:at] + config_argv + argv[at:])
+            except UsageError as exc:
+                raise UsageError(f"{args.config}: {exc}") from exc
         for name in _REQUIRED.get(args.command, ()):
             if getattr(args, name) in (None, ""):
                 raise UsageError(f"--{name.replace('_', '-')} is required")

@@ -87,20 +87,20 @@ def validate_record(record: PourRecord) -> list[str]:
             problems.append("theta must be finite")
         if weight.size and not np.all(np.isfinite(weight)):
             problems.append("weight must be finite")
-    scalars_ok = True
+    bad = set()
     for name in _SCALAR_FIELDS:
         value = getattr(record, name)
-        if not isinstance(value, (float, int, np.number)):
+        if isinstance(value, bool) or not isinstance(value, (float, int, np.number)):
             problems.append(f"{name} must be a number (got {value!r})")
-            scalars_ok = False
+            bad.add(name)
         elif not np.isfinite(value):
             problems.append(f"{name} must be finite")
-            scalars_ok = False
+            bad.add(name)
     for name in _POSITIVE_FIELDS:
         value = getattr(record, name)
-        if isinstance(value, (float, int, np.number)) and np.isfinite(value) and not value > 0:
+        if name not in bad and not value > 0:
             problems.append(f"{name} must be > 0 (got {value!r})")
-    if scalars_ok:
+    if not bad:
         if record.f_final > record.f_init:
             problems.append("f_final must be <= f_init")
         if record.f_empty > record.f_final:

@@ -163,8 +163,8 @@ class TrajectoryConfig:
             raise ValueError(f"final_tilt range must lie inside (0, 90) (got {self.final_tilt!r})")
         if self.jitter_deg < 0:
             raise ValueError("jitter_deg must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0 (got {self.noise_sigma!r})")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrajectoryConfig":
@@ -176,9 +176,10 @@ class TrajectoryConfig:
 
 
 def _pair(value) -> tuple:
+    """[lo, hi] as a tuple of two numbers, kept as given (ints stay ints)."""
     pair = tuple(value)
-    if len(pair) != 2:
-        raise ValueError(f"expected [lo, hi], got {value!r}")
+    if len(pair) != 2 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
+        raise ValueError(f"expected [lo, hi] numbers, got {value!r}")
     return pair
 
 

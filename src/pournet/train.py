@@ -24,7 +24,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     patience: int | None = None
-    normalize: bool = True
     clip_norm: float | None = None
 
     def validate(self) -> None:

@@ -49,6 +49,12 @@ def test_unknown_flag_is_usage_error():
 def test_bad_flag_value_is_usage_error(tmp_path):
     assert main(["generate", "--n", "0", "--out", str(tmp_path / "d.jsonl")]) == EXIT_USAGE
     assert main(["generate", "--n", "five", "--out", str(tmp_path / "d.jsonl")]) == EXIT_USAGE
+    for noise in ("nan", "inf", "-0.1"):
+        assert main(["generate", "--noise", noise, "--out", str(tmp_path / "d.jsonl")]) == EXIT_USAGE
+    assert not (tmp_path / "d.jsonl").exists()
+    for flag in ("--h", "--tol"):
+        assert main(["gradcheck", flag, "nan"]) == EXIT_USAGE
+    assert main(["grid", "--data", "d", "--manifest", "m", "--epoch-scale", "inf"]) == EXIT_USAGE
 
 
 def test_missing_required_flag_is_usage_error(ws):
@@ -108,11 +114,15 @@ def _ranges_file(doc, key):
     _checkpoint_with_unknown_layer_key,
     _record_with_d_cup("abc"),
     _record_with_d_cup(None),
+    _record_with_d_cup(True),
     _ranges_file({"trajectory": {"length": 5}}, "length"),
+    _ranges_file({"trajectory": {"length": [1, "a"]}}, "length"),
+    _ranges_file({"d_cm": ["a", 2]}, "d_cm"),
     _ranges_file({"d_cm": [60.0, 110.0], "bogus": [1, 2]}, "bogus"),
     _ranges_file({"trajectory": {"length": [8, 14], "noise_sigma": 0.1}}, "noise_sigma"),
     _ranges_file({"trajectory": [1, 2]}, "trajectory"),
-], ids=["checkpoint_layer_key", "record_d_cup_text", "record_d_cup_null", "trajectory_length_scalar",
+], ids=["checkpoint_layer_key", "record_d_cup_text", "record_d_cup_null", "record_d_cup_bool",
+        "trajectory_length_scalar", "trajectory_length_text", "ranges_d_cm_text",
         "ranges_unknown_key", "trajectory_noise_sigma", "trajectory_not_object"])
 def test_malformed_input_is_data_error_naming_file_and_field(tmp_path, ws, capsys, make):
     argv, named = make(ws, tmp_path)
@@ -136,19 +146,21 @@ def test_unknown_config_key_is_usage_error(tmp_path, ws):
 
 
 def test_builtin_defaults_match_documented_run_settings():
-    _, registries = _build_parser()
-    train_reg = registries["train"]
-    assert train_reg["loss"][1] == "euclidean"
-    assert train_reg["activation"][1] == "relu"
-    assert train_reg["lr"][1] == pytest.approx(1e-4)
-    assert train_reg["epochs"][1] == 2000
-    assert train_reg["batch_size"][1] == 32
-    assert train_reg["cell"][1] == "lstm"
-    assert registries["split"]["train_frac"][1] == pytest.approx(0.8)
-    assert registries["split"]["val_frac"][1] == pytest.approx(0.7)
-    assert registries["grid"]["epoch_scale"][1] == pytest.approx(1.0)
-    assert registries["gradcheck"]["h"][1] == pytest.approx(FD_STEP)
-    assert registries["gradcheck"]["tol"][1] == pytest.approx(FD_TOL)
+    parser = _build_parser()
+    train_args = parser.parse_args(["train"])
+    assert train_args.loss == "euclidean"
+    assert train_args.activation == "relu"
+    assert train_args.lr == pytest.approx(1e-4)
+    assert train_args.epochs == 2000
+    assert train_args.batch_size == 32
+    assert train_args.cell == "lstm"
+    split_args = parser.parse_args(["split"])
+    assert split_args.train_frac == pytest.approx(0.8)
+    assert split_args.val_frac == pytest.approx(0.7)
+    assert parser.parse_args(["grid"]).epoch_scale == pytest.approx(1.0)
+    gradcheck_args = parser.parse_args(["gradcheck"])
+    assert gradcheck_args.h == pytest.approx(FD_STEP)
+    assert gradcheck_args.tol == pytest.approx(FD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +235,30 @@ def test_config_file_layering(tmp_path, ws):
     assert doc["lr"] == "0.001"  # command line beats the config file
     assert doc["epochs"] == "1"  # config file beats the builtin 2000
     assert doc["loss"] == "euclidean"  # builtin fills the rest
+
+
+@pytest.mark.parametrize("line, key, expected", [
+    ("raw=true", "raw", "true"),
+    ("raw=maybe", None, None),
+    ("lr=", "lr", "0.0001"),
+    ("batch-size=4", "batch_size", "4"),
+    ("lr=abc", None, None),
+    ("loss=huber", None, None),
+], ids=["bool_true", "bool_bad", "empty_value", "hyphenated_key", "bad_float", "bad_choice"])
+def test_config_line_is_its_flag(tmp_path, ws, capsys, line, key, expected):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"epochs=1\n{line}\n")
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(ws["data"]), "--manifest", str(ws["manifest"]),
+                 "--config", str(cfg), "--out-dir", str(out)])
+    if key is None:
+        assert code == EXIT_USAGE
+        assert str(cfg) in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == EXIT_OK
+    doc = dict(row.split("=", 1) for row in (out / "run_manifest.txt").read_text().splitlines())
+    assert doc[key] == expected
 
 
 def test_run_manifest_reexecution_reproduces_checkpoint(tmp_path, ws):

@@ -229,6 +229,9 @@ def test_trajectory_config_validation():
         TrajectoryConfig(jitter_deg=-1.0)
     with pytest.raises(ValueError):
         TrajectoryConfig(length=(0, 10))
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            TrajectoryConfig(noise_sigma=sigma)
 
 
 def test_generate_dataset_basic():

@@ -184,6 +184,8 @@ def _split_batches(args):
     The pad length defaults to the longest record of the whole dataset, so it
     does not depend on the split.
     """
+    if args.max_len is not None and args.max_len < 1:
+        raise UsageError("--max-len must be >= 1")
     records = parse_dataset(args.data)
     manifest, normalizer = load_manifest(args.manifest)
     max_len = max(r.length for r in records) if args.max_len is None else args.max_len
@@ -199,40 +201,34 @@ def _split_batches(args):
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    config = TrainConfig(
-        loss=args.loss,
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        patience=args.patience,
-        clip_norm=args.clip,
-    )
     try:
-        config.validate()
+        return TrainConfig(
+            loss=args.loss,
+            lr=args.lr,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            seed=args.seed,
+            patience=args.patience,
+            clip_norm=args.clip,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return config
 
 
 def _model_spec_from_args(args) -> ModelSpec:
     if args.spec:
         return _load_json(args.spec, "model spec", ModelSpec.from_dict)
-    try:
-        return reference_model(cell=args.cell, output_activation=args.activation)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-_TRAIN_MANIFEST_KEYS = ("data", "manifest", "spec", "cell", "loss", "activation", "lr",
-                        "epochs", "batch_size", "patience", "clip", "raw", "max_len",
-                        "seed", "out_dir")
+    # --cell and --activation are argparse choices, so reference_model accepts both.
+    return reference_model(cell=args.cell, output_activation=args.activation)
 
 
 def _write_run_manifest(args, path) -> None:
+    """One key=value line per train flag, in the parser's order; the file
+    replays the run through --config."""
     lines = []
-    for key in _TRAIN_MANIFEST_KEYS:
-        value = getattr(args, key)
+    for key, value in vars(args).items():
+        if key in ("command", "config"):
+            continue
         if value is None:
             text = ""
         elif isinstance(value, bool):

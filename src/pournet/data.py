@@ -6,9 +6,13 @@ the cup is upright and increasingly negative as it tips) paired with the
 pouring cup's weight series (lbf), plus eight static scalars describing the
 setup. Sequences have different lengths, so batches are zero-padded to a
 common length with a validity mask.
+
+A PourRecord checks itself when built and nothing downstream checks it
+again, so run validate_record on a record changed after construction.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +66,20 @@ class PourRecord:
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
         self.weight = np.asarray(self.weight, dtype=np.float64)
+        problems = validate_record(self)
+        if problems:
+            raise DatasetFormatError("; ".join(problems))
 
     @property
     def length(self) -> int:
         return int(self.theta.shape[0])
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def validate_record(record: PourRecord) -> list[str]:
@@ -83,9 +97,9 @@ def validate_record(record: PourRecord) -> list[str]:
             )
         if theta.shape[0] < 1:
             problems.append("length must be >= 1")
-        if theta.size and not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             problems.append("theta must be finite")
-        if weight.size and not np.all(np.isfinite(weight)):
+        if not np.isfinite(weight).all():
             problems.append("weight must be finite")
     bad = set()
     for name in _SCALAR_FIELDS:
@@ -93,7 +107,7 @@ def validate_record(record: PourRecord) -> list[str]:
         if isinstance(value, bool) or not isinstance(value, (float, int, np.number)):
             problems.append(f"{name} must be a number (got {value!r})")
             bad.add(name)
-        elif not np.isfinite(value):
+        elif not _finite(value):
             problems.append(f"{name} must be finite")
             bad.add(name)
     for name in _POSITIVE_FIELDS:
@@ -114,9 +128,6 @@ def build_features(record: PourRecord) -> np.ndarray:
     Row t is [theta_t, f_init, f_empty, f_final, d_cup, h_cup, d_cm, h_cm,
     rho_rel]; the target column for step t is weight_t.
     """
-    problems = validate_record(record)
-    if problems:
-        raise DatasetFormatError("invalid record: " + "; ".join(problems))
     out = np.empty((record.length, NUM_FEATURES), dtype=np.float64)
     out[:, 0] = record.theta
     out[:, 1:] = [getattr(record, name) for name in FEATURE_ORDER[1:]]
@@ -172,11 +183,7 @@ def pad_and_mask(records, max_len: int | None = None) -> PaddedBatch:
     targets = np.zeros((n, max_len, 1), dtype=np.float64)
     mask = np.zeros((n, max_len), dtype=np.float64)
     for i, record in enumerate(records):
-        try:
-            rows = build_features(record)
-        except ValueError as exc:
-            raise DatasetFormatError(f"record {i}: {exc}") from exc
-        features[i, : record.length] = rows
+        features[i, : record.length] = build_features(record)
         targets[i, : record.length, 0] = record.weight
         mask[i, : record.length] = 1.0
     return PaddedBatch(features, targets, mask, np.asarray(lengths, dtype=np.int64))
@@ -279,8 +286,6 @@ def fit_normalizer(train_records) -> Normalizer:
     targs = np.concatenate([r.weight for r in train_records])
     f_lo, f_hi = feats.min(axis=0), feats.max(axis=0)
     t_lo, t_hi = float(targs.min()), float(targs.max())
-    if not (np.all(np.isfinite(f_lo)) and np.all(np.isfinite(f_hi)) and np.isfinite(t_lo) and np.isfinite(t_hi)):
-        raise ValueError("non-finite values in training statistics")
     f_scale = f_hi - f_lo
     f_scale[f_scale <= 0] = 1.0
     t_scale = t_hi - t_lo
@@ -302,10 +307,6 @@ def apply_normalizer(normalizer: Normalizer, batch: PaddedBatch) -> PaddedBatch:
 
 def serialize_dataset(records, path) -> None:
     """Write one JSON object per line with keys in DATASET_KEYS order."""
-    for i, record in enumerate(records):
-        problems = validate_record(record)
-        if problems:
-            raise ValueError(f"record {i}: " + "; ".join(problems))
     with open(path, "w") as handle:
         for record in records:
             doc = {
@@ -318,7 +319,8 @@ def serialize_dataset(records, path) -> None:
 
 
 def parse_dataset(path) -> list[PourRecord]:
-    """Read a dataset file, validating every record. Errors cite the file and line."""
+    """Read a dataset file; each record checks itself as it is built. Errors
+    cite the file and line."""
     records = []
     key_set = set(DATASET_KEYS)
     with open(path) as handle:
@@ -342,11 +344,8 @@ def parse_dataset(path) -> list[PourRecord]:
                 raise DatasetFormatError(f"{path}: line {lineno}: " + "; ".join(parts))
             try:
                 record = PourRecord(**{k: doc[k] for k in DATASET_KEYS})
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from exc
-            problems = validate_record(record)
-            if problems:
-                raise DatasetFormatError(f"{path}: line {lineno}: " + "; ".join(problems))
             records.append(record)
     return records
 

@@ -117,12 +117,12 @@ class LayerSpec:
 
 @dataclass
 class ModelSpec:
-    """Ordered layer stack plus the input feature width."""
+    """Ordered layer stack plus the input feature width; checked when built."""
 
     input_dim: int
     layers: list
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1 (got {self.input_dim!r})")
         if not self.layers:
@@ -143,7 +143,6 @@ class ModelSpec:
 
     def widths(self) -> list:
         """Input width of every layer, plus the final output width at the end."""
-        self.validate()
         widths = [self.input_dim]
         for layer in self.layers:
             widths.append(widths[-1] if layer.kind == "dropout" else layer.units)
@@ -154,12 +153,10 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelSpec":
-        spec = cls(
+        return cls(
             input_dim=int(doc["input_dim"]),
             layers=[LayerSpec(**entry) for entry in doc["layers"]],
         )
-        spec.validate()
-        return spec
 
 
 def reference_model(cell: str = "lstm", output_activation: str = "relu") -> ModelSpec:
@@ -305,7 +302,6 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int, fan_in: int, fan_out
 def build_model(spec: ModelSpec, init_seed: int = 0) -> ModelParams:
     """Initialize parameters: Glorot-uniform input kernels, orthogonal
     recurrent kernels, zero biases except the LSTM forget gate bias at 1.0."""
-    spec.validate()
     rng = np.random.default_rng(init_seed)
     params = ModelParams.from_flat(spec, np.zeros(count_params(spec)))
     for d, layer, p in zip(spec.widths(), spec.layers, params.layers):

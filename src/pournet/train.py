@@ -16,7 +16,7 @@ from .optim import AdamState, adam_step
 @dataclass
 class TrainConfig:
     """Knobs of one training run. Defaults mirror the reference recipe:
-    Euclidean loss, lr 1e-4, 2000 epochs."""
+    Euclidean loss, lr 1e-4, 2000 epochs. Checked when built."""
 
     loss: str = "euclidean"
     lr: float = 1e-4
@@ -26,7 +26,7 @@ class TrainConfig:
     patience: int | None = None
     clip_norm: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS} (got {self.loss!r})")
         # lr 0 is allowed: it runs the full loop and provably changes nothing.
@@ -78,9 +78,10 @@ def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch, con
     validation batch in eval mode. The recorded training loss is
     the mean of the per-batch losses seen during the epoch. With patience
     set, training stops after that many epochs without a strictly better
-    validation loss and the best-epoch parameters are restored.
+    validation loss and the best-epoch parameters are restored. A
+    NumericalError from a minibatch step is re-raised with its epoch and
+    batch (both counted from 1) in front of the message.
     """
-    config.validate()
     n = train_batch.num_sequences
     if n < 1:
         raise ValueError("training batch is empty")
@@ -99,17 +100,18 @@ def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch, con
         tic = time.perf_counter()
         order = rng.permutation(n)
         batch_losses = []
-        for start in range(0, n, batch_size):
+        for batch_no, start in enumerate(range(0, n, batch_size), start=1):
             sub = train_batch.take(order[start : start + batch_size])
             params = ModelParams.from_flat(spec, flat)
-            loss, grads = backward(params, sub, config.loss, mode="train", rng=rng)
-            if not np.isfinite(loss):
-                raise NumericalError(f"training diverged at epoch {epoch}")
-            if config.clip_norm is not None:
-                norm = float(np.linalg.norm(grads))
-                if norm > config.clip_norm:
-                    grads = grads * (config.clip_norm / norm)
-            flat, state = adam_step(flat, grads, state, config.lr)
+            try:
+                loss, grads = backward(params, sub, config.loss, mode="train", rng=rng)
+                if config.clip_norm is not None:
+                    norm = float(np.linalg.norm(grads))
+                    if norm > config.clip_norm:
+                        grads = grads * (config.clip_norm / norm)
+                flat, state = adam_step(flat, grads, state, config.lr)
+            except NumericalError as exc:
+                raise NumericalError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
             batch_losses.append(loss)
         params = ModelParams.from_flat(spec, flat)
         val_loss = evaluate(params, val_batch, config.loss).loss

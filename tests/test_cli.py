@@ -55,6 +55,8 @@ def test_bad_flag_value_is_usage_error(tmp_path):
     for flag in ("--h", "--tol"):
         assert main(["gradcheck", flag, "nan"]) == EXIT_USAGE
     assert main(["grid", "--data", "d", "--manifest", "m", "--epoch-scale", "inf"]) == EXIT_USAGE
+    assert main(["train", "--data", "d", "--manifest", "m", "--max-len=-3"]) == EXIT_USAGE
+    assert main(["grid", "--data", "d", "--manifest", "m", "--max-len=0"]) == EXIT_USAGE
 
 
 def test_missing_required_flag_is_usage_error(ws):
@@ -90,7 +92,7 @@ def _checkpoint_with_unknown_layer_key(ws, tmp_path):
     return argv, [str(path), "line 2", "bogus"]
 
 
-def _record_with_d_cup(value):
+def _record_with_d_cup(value, named="d_cup"):
     def make(ws, tmp_path):
         lines = ws["data"].read_text().splitlines()
         doc = json.loads(lines[1])
@@ -98,7 +100,7 @@ def _record_with_d_cup(value):
         lines[1] = json.dumps(doc)
         path = tmp_path / "data.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        return ["split", "--data", str(path), "--out", str(tmp_path / "m.json")], [str(path), "line 2", "d_cup"]
+        return ["split", "--data", str(path), "--out", str(tmp_path / "m.json")], [str(path), "line 2", named]
     return make
 
 
@@ -115,6 +117,7 @@ def _ranges_file(doc, key):
     _record_with_d_cup("abc"),
     _record_with_d_cup(None),
     _record_with_d_cup(True),
+    _record_with_d_cup(10**400, "line 2: d_cup must be finite"),
     _ranges_file({"trajectory": {"length": 5}}, "length"),
     _ranges_file({"trajectory": {"length": [1, "a"]}}, "length"),
     _ranges_file({"d_cm": ["a", 2]}, "d_cm"),
@@ -122,6 +125,7 @@ def _ranges_file(doc, key):
     _ranges_file({"trajectory": {"length": [8, 14], "noise_sigma": 0.1}}, "noise_sigma"),
     _ranges_file({"trajectory": [1, 2]}, "trajectory"),
 ], ids=["checkpoint_layer_key", "record_d_cup_text", "record_d_cup_null", "record_d_cup_bool",
+        "record_d_cup_huge_int",
         "trajectory_length_scalar", "trajectory_length_text", "ranges_d_cm_text",
         "ranges_unknown_key", "trajectory_noise_sigma", "trajectory_not_object"])
 def test_malformed_input_is_data_error_naming_file_and_field(tmp_path, ws, capsys, make):
@@ -220,6 +224,8 @@ def test_run_manifest_records_choices_verbatim(tmp_path, ws):
     assert doc["cell"] == "lstm"
     assert doc["raw"] == "false"
     assert doc["patience"] == ""
+    train_flags = {action.dest for action in _build_parser().commands["train"]._actions}
+    assert set(doc) == train_flags - {"help", "config"}
 
 
 def test_config_file_layering(tmp_path, ws):

@@ -1,5 +1,7 @@
 """Record validation, feature assembly, padding, splitting, normalization, file I/O."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,14 +54,16 @@ def test_length_mismatch_reported():
 
 
 def test_sign_and_ordering_violations():
-    msgs = validate_record(make_record(d_cup=-10.0))
-    assert any("d_cup must be > 0" in m for m in msgs)
-    msgs = validate_record(make_record(f_final=2.0))  # exceeds f_init =1.5
-    assert any("f_final" in m for m in msgs)
-    msgs = validate_record(make_record(f_empty=0.9))  # exceeds f_final = 0.8
-    assert any("f_empty" in m for m in msgs)
-    msgs = validate_record(make_record(rho_rel=float("nan")))
-    assert any("rho_rel" in m for m in msgs)
+    with pytest.raises(DatasetFormatError, match="d_cup must be > 0"):
+        make_record(d_cup=-10.0)
+    with pytest.raises(DatasetFormatError, match="f_final"):
+        make_record(f_final=2.0)  # exceeds f_init =1.5
+    with pytest.raises(DatasetFormatError, match="f_empty"):
+        make_record(f_empty=0.9)  # exceeds f_final = 0.8
+    with pytest.raises(DatasetFormatError, match="rho_rel"):
+        make_record(rho_rel=float("nan"))
+    with pytest.raises(DatasetFormatError, match="^d_cup must be finite$"):
+        make_record(d_cup=10**400)  # too large for a float
 
 
 def test_feature_order_is_frozen():
@@ -78,9 +82,9 @@ def test_feature_order_is_frozen():
 
 
 def test_build_features_rejects_invalid():
-    rec = make_record(d_cm=-1.0)
-    with pytest.raises(DatasetFormatError):
-        build_features(rec)
+    # An invalid record cannot be built, so build_features never sees one.
+    with pytest.raises(DatasetFormatError, match="d_cm must be > 0"):
+        build_features(make_record(d_cm=-1.0))
 
 
 def test_pad_and_mask_shapes_and_zeros():
@@ -190,6 +194,16 @@ def test_normalizer_ignores_other_splits():
     norm_b = fit_normalizer(train)
     assert np.array_equal(norm_a.feature_offset, norm_b.feature_offset)
     assert np.array_equal(norm_a.feature_scale, norm_b.feature_scale)
+
+
+def test_huge_integer_in_series_is_format_error(tmp_path):
+    path = tmp_path / "data.jsonl"
+    serialize_dataset([make_record()], path)
+    doc = json.loads(path.read_text())
+    doc["theta"][0] = 10**400  # too large for a float
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 1: int too large"):
+        parse_dataset(path)
 
 
 def test_serialize_parse_round_trip(tmp_path):

@@ -499,14 +499,20 @@ def test_forward_rejects_bad_width_and_mode():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ModelSpec(input_dim=0, layers=[LayerSpec("lstm", units=4)]).validate()
-    with pytest.raises(ValueError):
-        ModelSpec(input_dim=3, layers=[LayerSpec("lstm", units=0)]).validate()
-    with pytest.raises(ValueError):
-        ModelSpec(input_dim=3, layers=[LayerSpec("conv", units=3)]).validate()
-    with pytest.raises(ValueError):
-        ModelSpec(input_dim=3, layers=[LayerSpec("dropout", rate=1.5)]).validate()
+    with pytest.raises(ValueError, match=r"^input_dim must be >= 1 \(got 0\)$"):
+        ModelSpec(input_dim=0, layers=[LayerSpec("lstm", units=4)])
+    with pytest.raises(ValueError, match="^model needs at least one layer$"):
+        ModelSpec(input_dim=3, layers=[])
+    with pytest.raises(ValueError, match="^layer 0: units must be >= 1$"):
+        ModelSpec(input_dim=3, layers=[LayerSpec("lstm", units=0)])
+    with pytest.raises(ValueError, match="^layer 0: unknown kind 'conv'$"):
+        ModelSpec(input_dim=3, layers=[LayerSpec("conv", units=3)])
+    with pytest.raises(ValueError, match=r"^layer 0: dropout rate must lie in \[0, 1\)$"):
+        ModelSpec(input_dim=3, layers=[LayerSpec("dropout", rate=1.5)])
+    with pytest.raises(ValueError, match="^layer 1: unknown activation 'softmax'$"):
+        ModelSpec(input_dim=3, layers=[LayerSpec("gru", units=2), LayerSpec("dense", units=1, activation="softmax")])
+    with pytest.raises(ValueError, match="^layer 0: unknown recurrent activation 'tanh'$"):
+        ModelSpec(input_dim=3, layers=[LayerSpec("lstm", units=2, recurrent_activation="tanh")])
     spec = ModelSpec(input_dim=3, layers=[LayerSpec("lstm", units=4)])
     again = ModelSpec.from_dict(spec.to_dict())
     assert again.to_dict() == spec.to_dict()

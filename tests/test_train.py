@@ -1,11 +1,13 @@
 """Training loop behavior: determinism, lr=0, patience, history export, evaluate."""
 
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pournet.data import apply_normalizer, fit_normalizer, pad_and_mask, split_dataset
+from pournet.errors import NumericalError
 from pournet.nn import LayerSpec, ModelSpec, build_model, model_forward
 from pournet.simulate import TrajectoryConfig, default_ranges, generate_dataset
 from pournet.train import RunHistory, TrainConfig, evaluate, export_history, train
@@ -26,17 +28,35 @@ def tiny_batches(n=12, seed=0):
 
 
 def test_config_validation():
-    TrainConfig().validate()
-    with pytest.raises(ValueError):
-        TrainConfig(loss="huber").validate()
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(lr=-1.0).validate()
-    with pytest.raises(ValueError):
-        TrainConfig(patience=0).validate()
+    TrainConfig()
+    with pytest.raises(ValueError, match=r"^loss must be one of .* \(got 'huber'\)$"):
+        TrainConfig(loss="huber")
+    with pytest.raises(ValueError, match=r"^epochs must be >= 1 \(got 0\)$"):
+        TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match=r"^batch_size must be >= 1 \(got 0\)$"):
+        TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match=r"^lr must be >= 0 \(got -1.0\)$"):
+        TrainConfig(lr=-1.0)
+    with pytest.raises(ValueError, match=r"^lr must be >= 0 \(got nan\)$"):
+        TrainConfig(lr=float("nan"))
+    with pytest.raises(ValueError, match=r"^patience must be >= 1 when set \(got 0\)$"):
+        TrainConfig(patience=0)
+    with pytest.raises(ValueError, match=r"^clip_norm must be > 0 when set \(got 0.0\)$"):
+        TrainConfig(clip_norm=0.0)
+    with pytest.raises(ValueError, match="^epochs must be >= 1"):
+        replace(TrainConfig(), epochs=0)  # replace builds, so it checks too
+
+
+def test_numerical_error_names_epoch_and_batch():
+    tb, vb, _ = tiny_batches()  # 9 training sequences: batches of 4, 4 and 1
+    spec = ModelSpec(input_dim=9, layers=[LayerSpec("lstm", units=3), LayerSpec("dense", units=1)])
+    with pytest.raises(NumericalError, match=r"^epoch 1, batch 3: non-finite parameters after Adam step 3$") as info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        train(spec, tb, vb, TrainConfig(loss="mse", lr=1e308, epochs=3, batch_size=4, seed=0))
+    assert isinstance(info.value.__cause__, NumericalError)
+    tb.features[:, 0, 0] = np.nan  # every minibatch's loss is non-finite
+    with pytest.raises(NumericalError, match=r"^epoch 1, batch 1: non-finite loss; first non-finite values in layer 0 \(lstm\)$"):
+        train(spec, tb, vb, TrainConfig(loss="mse", epochs=1, batch_size=4, seed=0))
 
 
 def test_lr_zero_keeps_params_bitwise():

@@ -64,8 +64,8 @@ class PourRecord:
     rho_rel: float
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64)
-        self.weight = np.asarray(self.weight, dtype=np.float64)
+        self.theta = _series("theta", self.theta)
+        self.weight = _series("weight", self.weight)
         problems = validate_record(self)
         if problems:
             raise DatasetFormatError("; ".join(problems))
@@ -73,6 +73,14 @@ class PourRecord:
     @property
     def length(self) -> int:
         return int(self.theta.shape[0])
+
+
+def _series(name: str, values) -> np.ndarray:
+    """values as a float64 array; a non-number element names the field."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DatasetFormatError(f"{exc} (in {name})") from exc
 
 
 def _finite(value) -> bool:
@@ -191,7 +199,10 @@ def pad_and_mask(records, max_len: int | None = None) -> PaddedBatch:
 
 @dataclass
 class SplitManifest:
-    """Shuffled record ids assigned to train/val/test, plus the seed and ratios."""
+    """Shuffled record ids assigned to train/val/test, plus the seed and ratios.
+
+    Checked when built: int ids, none listed twice in or across the splits.
+    """
 
     seed: int
     r_train: float
@@ -199,6 +210,20 @@ class SplitManifest:
     train_ids: list
     val_ids: list
     test_ids: list
+
+    def __post_init__(self):
+        owner = {}
+        for name in ("train_ids", "val_ids", "test_ids"):
+            ids = getattr(self, name)
+            if not isinstance(ids, list):
+                raise ValueError(f"{name} must be a list (got {type(ids).__name__})")
+            for i in ids:
+                if isinstance(i, bool) or not isinstance(i, int):
+                    raise ValueError(f"{name} must hold integer record ids (got {i!r})")
+                if i in owner:
+                    where = f"twice in {name}" if owner[i] == name else f"in both {owner[i]} and {name}"
+                    raise ValueError(f"record id {i} appears {where}")
+                owner[i] = name
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -232,7 +257,10 @@ def split_dataset(records, seed: int, r_train: float = 0.8, r_val_of_rest: float
 
 @dataclass(eq=False)
 class Normalizer:
-    """Per-column affine map x' = (x - offset) / scale, fitted on the training split."""
+    """Per-column affine map x' = (x - offset) / scale, fitted on the training split.
+
+    Checked when built: finite statistics and positive scales.
+    """
 
     feature_offset: np.ndarray
     feature_scale: np.ndarray
@@ -246,6 +274,9 @@ class Normalizer:
             raise ValueError(f"normalizer statistics must have {NUM_FEATURES} columns")
         if not (np.all(self.feature_scale > 0) and self.target_scale > 0):
             raise ValueError("normalizer scales must be strictly positive")
+        if not (np.isfinite(self.feature_offset).all() and np.isfinite(self.feature_scale).all()
+                and _finite(self.target_offset) and _finite(self.target_scale)):
+            raise ValueError("normalizer statistics must be finite")
 
     def transform_features(self, x):
         return (np.asarray(x, dtype=np.float64) - self.feature_offset) / self.feature_scale
@@ -377,9 +408,9 @@ def load_manifest(path) -> tuple[SplitManifest, Normalizer | None]:
             seed=doc["seed"],
             r_train=doc["r_train"],
             r_val_of_rest=doc["r_val_of_rest"],
-            train_ids=[int(i) for i in doc["train_ids"]],
-            val_ids=[int(i) for i in doc["val_ids"]],
-            test_ids=[int(i) for i in doc["test_ids"]],
+            train_ids=doc["train_ids"],
+            val_ids=doc["val_ids"],
+            test_ids=doc["test_ids"],
         )
         norm_doc = doc.get("normalizer")
         normalizer = Normalizer.from_dict(norm_doc) if norm_doc else None

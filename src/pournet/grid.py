@@ -9,7 +9,7 @@ from .data import PaddedBatch
 from .errors import DatasetFormatError
 from .losses import LOSS_KINDS
 from .nn import CELL_KINDS, OUTPUT_ACTIVATIONS, reference_model
-from .train import TrainConfig, evaluate, train
+from .train import TrainConfig, train
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,12 @@ def run_grid(train_batch: PaddedBatch, val_batch: PaddedBatch, combos,
         tic = time.perf_counter()
         try:
             spec = reference_model(cell=combo.cell, output_activation=combo.activation)
-            params, history = train(spec, train_batch, val_batch, config)
+            _, history = train(spec, train_batch, val_batch, config)
             row.epochs_run = history.epochs_run
             row.train_loss = history.train_loss[-1]
-            row.val_loss = evaluate(params, val_batch, combo.loss).loss
+            # The loss of the params train() returns: with patience, the best epoch's.
+            best = history.best_epoch - 1 if config.patience is not None else -1
+            row.val_loss = history.val_loss[best]
         except Exception as exc:  # keep the grid going; the row records the failure
             row.error = f"{type(exc).__name__}: {exc}"
         row.seconds = time.perf_counter() - tic

@@ -123,6 +123,8 @@ class ModelSpec:
     layers: list
 
     def __post_init__(self):
+        if isinstance(self.input_dim, bool) or not isinstance(self.input_dim, int):
+            raise ValueError(f"input_dim must be an integer (got {self.input_dim!r})")
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1 (got {self.input_dim!r})")
         if not self.layers:
@@ -134,6 +136,8 @@ class ModelSpec:
                 if not (0.0 <= layer.rate < 1.0):
                     raise ValueError(f"layer {i}: dropout rate must lie in [0, 1)")
                 continue
+            if isinstance(layer.units, bool) or not isinstance(layer.units, int):
+                raise ValueError(f"layer {i}: units must be an integer (got {layer.units!r})")
             if layer.units < 1:
                 raise ValueError(f"layer {i}: units must be >= 1")
             if layer.activation not in ACTIVATION_KINDS:
@@ -154,7 +158,7 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelSpec":
         return cls(
-            input_dim=int(doc["input_dim"]),
+            input_dim=doc["input_dim"],
             layers=[LayerSpec(**entry) for entry in doc["layers"]],
         )
 

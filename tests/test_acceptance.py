@@ -2,9 +2,10 @@
 
 Criteria 1..5 are fast structural and numerical checks. Criterion 6 trains the
 reference model on a desk-scale simulated dataset three times (the slow part,
-budgeted at 15 minutes); criterion 7 walks the bundled experiment grid through
-the command line at a 0.01 epoch scale; criterion 8 checks bitwise run
-reproducibility through the command line.
+budgeted at 15 minutes); two invariants ride on its runs, the second scoring
+them on cups outside the training ranges. Criterion 7 walks the bundled
+experiment grid through the command line at a 0.01 epoch scale; criterion 8
+checks bitwise run reproducibility through the command line.
 """
 
 import json
@@ -30,7 +31,14 @@ from pournet.nn import (
     layer_param_counts,
     reference_model,
 )
-from pournet.simulate import CupGeometry, TrajectoryConfig, default_ranges, generate_dataset, retained_volume
+from pournet.simulate import (
+    CupGeometry,
+    TrajectoryConfig,
+    default_ranges,
+    generate_dataset,
+    retained_volume,
+    wide_cup_ranges,
+)
 from pournet.train import TrainConfig, evaluate, train
 
 
@@ -191,8 +199,8 @@ def desk_scale_runs():
         params, history = train(spec, tb, vb, config)
         test_loss = evaluate(params, xb, "euclidean").loss
         runs.append({"seed": seed, "epoch1": history.train_loss[0],
-                     "final": history.train_loss[-1], "test": test_loss})
-    return {"runs": runs, "elapsed": time.monotonic() - t0}
+                     "final": history.train_loss[-1], "test": test_loss, "params": params})
+    return {"runs": runs, "elapsed": time.monotonic() - t0, "normalizer": normalizer}
 
 
 def test_criterion_6_desk_scale_learning(desk_scale_runs):
@@ -214,6 +222,25 @@ def test_invariant_training_loss_decreases(desk_scale_runs):
     ok = all(r["final"] < r["epoch1"] for r in runs)
     detail = ", ".join(f"seed {r['seed']}: {r['epoch1']:.3f} -> {r['final']:.3f}" for r in runs)
     _verdict("invariant (training loss decreases)", ok, detail)
+
+
+def test_invariant_wide_cup_generalization_gap(desk_scale_runs):
+    # Invariant rider on the criterion-6 fixture, the paper's second finding:
+    # the model does badly on cups far from the training cups. On 75 pours
+    # with every cup dimension doubled, the Euclidean loss must be at least
+    # 10x the in-range test loss for at least two of the three seeds.
+    t0 = time.monotonic()
+    wide = generate_dataset(75, wide_cup_ranges(), TrajectoryConfig(noise_sigma=0.01, seed=0))
+    batch = apply_normalizer(desk_scale_runs["normalizer"], pad_and_mask(wide))
+    runs = desk_scale_runs["runs"]
+    wide_losses = [evaluate(r["params"], batch, "euclidean").loss for r in runs]
+    ratios = [w / r["test"] for w, r in zip(wide_losses, runs)]
+    elapsed = time.monotonic() - t0
+    ok = sum(ratio >= 10.0 for ratio in ratios) >= 2
+    detail = ", ".join(
+        f"seed {r['seed']}: wide {w:.3f} / test {r['test']:.3f} = {ratio:.1f}x"
+        for r, w, ratio in zip(runs, wide_losses, ratios))
+    _verdict("invariant (wide-cup generalization gap)", ok, f"{detail}, {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------

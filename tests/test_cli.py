@@ -1,15 +1,18 @@
 """End-to-end command line checks: exit codes, artifacts, and reproducibility."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pournet.checkpoint import load_checkpoint
 from pournet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _build_parser, main
-from pournet.data import apply_normalizer, load_manifest, pad_and_mask, parse_dataset
+from pournet.data import apply_normalizer, load_manifest, pad_and_mask, parse_dataset, serialize_dataset
 from pournet.grad import FD_STEP, FD_TOL
 from pournet.nn import model_forward
+from pournet.simulate import TrajectoryConfig, generate_dataset, wide_cup_ranges
 from pournet.train import evaluate
 
 
@@ -81,26 +84,62 @@ def test_nonfinite_checkpoint_is_data_error(tmp_path, ws, capsys):
     assert not (tmp_path / "metrics.txt").exists()
 
 
-def _checkpoint_with_unknown_layer_key(ws, tmp_path):
-    lines = (ws["train_dir"] / "checkpoint.txt").read_text().splitlines()
-    spec = json.loads(lines[1][len("spec "):])
-    spec["layers"][0]["bogus"] = 1
-    lines[1] = "spec " + json.dumps(spec)
-    path = tmp_path / "ckpt.txt"
-    path.write_text("\n".join(lines) + "\n")
-    argv = ["evaluate", "--checkpoint", str(path), "--data", str(ws["data"]), "--out-dir", str(tmp_path)]
-    return argv, [str(path), "line 2", "bogus"]
+def _checkpoint_with(index, edit, named):
+    """Evaluate the trained checkpoint with the JSON block of line index + 1
+    edited in place."""
+    def make(ws, tmp_path):
+        lines = (ws["train_dir"] / "checkpoint.txt").read_text().splitlines()
+        prefix, _, text = lines[index].partition(" ")
+        doc = json.loads(text)
+        edit(doc)
+        lines[index] = f"{prefix} {json.dumps(doc)}"
+        path = tmp_path / "ckpt.txt"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["evaluate", "--checkpoint", str(path), "--data", str(ws["data"]), "--out-dir", str(tmp_path)]
+        return argv, [str(path), f"line {index + 1}", named]
+    return make
 
 
-def _record_with_d_cup(value, named="d_cup"):
+def _record_with(key, value, named=None, element=None):
+    """Split a dataset whose second record has `key` (or its element) set to value."""
     def make(ws, tmp_path):
         lines = ws["data"].read_text().splitlines()
         doc = json.loads(lines[1])
-        doc["d_cup"] = value
+        if element is None:
+            doc[key] = value
+        else:
+            doc[key][element] = value
         lines[1] = json.dumps(doc)
         path = tmp_path / "data.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        return ["split", "--data", str(path), "--out", str(tmp_path / "m.json")], [str(path), "line 2", named]
+        argv = ["split", "--data", str(path), "--out", str(tmp_path / "m.json")]
+        return argv, [str(path), "line 2", named or key]
+    return make
+
+
+def _manifest_with(edit, named):
+    """Train on the shared split with its manifest document edited."""
+    def make(ws, tmp_path):
+        doc = json.loads(ws["manifest"].read_text())
+        edit(doc)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        argv = ["train", "--data", str(ws["data"]), "--manifest", str(path), "--epochs", "1",
+                "--batch-size", "4", "--out-dir", str(tmp_path / "run")]
+        return argv, [str(path), named]
+    return make
+
+
+def _spec_file(input_dim, units, named):
+    """Train with a spec file whose input_dim and first layer's units are
+    written verbatim as the given JSON text."""
+    def make(ws, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"input_dim": {input_dim}, "layers": [{{"kind": "lstm", "units": {units}}}, '
+                        '{"kind": "dense", "units": 1}]}')
+        argv = ["train", "--data", str(ws["data"]), "--manifest", str(ws["manifest"]), "--spec", str(path),
+                "--epochs", "1", "--batch-size", "4", "--out-dir", str(tmp_path / "run")]
+        return argv, [str(path), named]
     return make
 
 
@@ -113,21 +152,40 @@ def _ranges_file(doc, key):
 
 
 @pytest.mark.parametrize("make", [
-    _checkpoint_with_unknown_layer_key,
-    _record_with_d_cup("abc"),
-    _record_with_d_cup(None),
-    _record_with_d_cup(True),
-    _record_with_d_cup(10**400, "line 2: d_cup must be finite"),
+    _checkpoint_with(1, lambda spec: spec["layers"][0].update(bogus=1), "bogus"),
+    _record_with("d_cup", "abc"),
+    _record_with("d_cup", None),
+    _record_with("d_cup", True),
+    _record_with("d_cup", 10**400, "line 2: d_cup must be finite"),
     _ranges_file({"trajectory": {"length": 5}}, "length"),
     _ranges_file({"trajectory": {"length": [1, "a"]}}, "length"),
     _ranges_file({"d_cm": ["a", 2]}, "d_cm"),
     _ranges_file({"d_cm": [60.0, 110.0], "bogus": [1, 2]}, "bogus"),
     _ranges_file({"trajectory": {"length": [8, 14], "noise_sigma": 0.1}}, "noise_sigma"),
     _ranges_file({"trajectory": [1, 2]}, "trajectory"),
+    _record_with("theta", "a", element=0),
+    _record_with("weight", 10**400, element=0),
+    _manifest_with(lambda doc: doc.update(train_ids=[0.5] + doc["train_ids"][1:]), "train_ids"),
+    _manifest_with(lambda doc: doc.update(train_ids="012"), "train_ids"),
+    _manifest_with(lambda doc: doc["train_ids"].append(doc["train_ids"][0]), "twice in train_ids"),
+    _manifest_with(lambda doc: doc["train_ids"].append(doc["val_ids"][0]), "in both train_ids and val_ids"),
+    _manifest_with(lambda doc: doc.update(train_ids=[True] + doc["train_ids"][1:]), "train_ids"),
+    _manifest_with(lambda doc: doc["normalizer"].update(feature_offset=[float("nan")] * 9),
+                   "normalizer statistics must be finite"),
+    _checkpoint_with(2, lambda norm: norm.update(target_offset=float("inf")),
+                     "normalizer statistics must be finite"),
+    _spec_file("9", "16.5", "layer 0: units must be an integer"),
+    _spec_file("9", "1e400", "layer 0: units must be an integer"),
+    _spec_file("9.5", "16", "input_dim must be an integer"),
 ], ids=["checkpoint_layer_key", "record_d_cup_text", "record_d_cup_null", "record_d_cup_bool",
         "record_d_cup_huge_int",
         "trajectory_length_scalar", "trajectory_length_text", "ranges_d_cm_text",
-        "ranges_unknown_key", "trajectory_noise_sigma", "trajectory_not_object"])
+        "ranges_unknown_key", "trajectory_noise_sigma", "trajectory_not_object",
+        "record_theta_text", "record_weight_huge_int",
+        "manifest_float_id", "manifest_id_string", "manifest_duplicate_train_id",
+        "manifest_val_id_in_train", "manifest_bool_id", "manifest_nan_feature_offset",
+        "checkpoint_infinite_target_offset", "spec_units_fraction", "spec_units_overflow",
+        "spec_input_dim_fraction"])
 def test_malformed_input_is_data_error_naming_file_and_field(tmp_path, ws, capsys, make):
     argv, named = make(ws, tmp_path)
     assert main(argv) == EXIT_DATA
@@ -182,6 +240,22 @@ def test_generate_deterministic_bytes_and_sidecar(tmp_path):
     assert sidecar["n"] == 5 and sidecar["seed"] == 11
     assert "d_cup" in sidecar["ranges"]
     assert sidecar["trajectory"]["noise_sigma"] == 0.0
+
+
+def test_readme_wide_cup_ranges_generate_the_scored_pours(tmp_path):
+    # The README's generalization recipe writes these ranges with integer
+    # bounds; through `generate` they must give the same bytes as
+    # wide_cup_ranges(), the set the acceptance rider scores.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    ranges = tmp_path / "wide.json"
+    ranges.write_text(re.search(r"echo '(\{.*\})' > wide\.json", readme).group(1) + "\n")
+    out = tmp_path / "wide.jsonl"
+    assert main(["generate", "--n", "8", "--noise", "0.01", "--seed", "0",
+                 "--ranges", str(ranges), "--out", str(out)]) == EXIT_OK
+    expected = tmp_path / "expected.jsonl"
+    serialize_dataset(generate_dataset(8, wide_cup_ranges(), TrajectoryConfig(noise_sigma=0.01, seed=0)),
+                      expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_ranges_file_overrides_trajectory(ws):

@@ -14,8 +14,9 @@ from pournet.grid import (
     scale_epochs,
     write_report,
 )
+from pournet.nn import reference_model
 from pournet.simulate import TrajectoryConfig, default_ranges, generate_dataset
-from pournet.train import TrainConfig
+from pournet.train import TrainConfig, evaluate, train
 
 EXPECTED_DEFAULT = [
     ("lstm", "mse", "linear", 500),
@@ -95,6 +96,20 @@ def test_run_grid_epoch_scale():
     base = TrainConfig(lr=1e-3, batch_size=4, seed=0)
     report = run_grid(tb, vb, combos, base, epoch_scale=0.01)
     assert report.rows[0].epochs_run == 2
+
+
+@pytest.mark.parametrize("patience", [None, 1])
+def test_run_grid_val_loss_scores_the_returned_params(patience):
+    # A row's validation loss comes from the run's history. It must equal the
+    # loss of the params train() returns, which patience rolls back to the
+    # best epoch.
+    tb, vb = small_split()
+    config = TrainConfig(loss="mse", lr=0.05, epochs=8, batch_size=4, seed=0, patience=patience)
+    row = run_grid(tb, vb, [GridCombo("lstm", "mse", "linear", 8)], config).rows[0]
+    params, history = train(reference_model(cell="lstm", output_activation="linear"), tb, vb, config)
+    if patience is not None:
+        assert history.best_epoch < history.epochs_run  # an earlier epoch was restored
+    assert row.val_loss == evaluate(params, vb, "mse").loss
 
 
 def test_run_grid_records_failures(monkeypatch, tmp_path):

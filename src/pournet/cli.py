@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import grid as grid_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
@@ -344,6 +346,9 @@ def run_predict(args) -> int:
     preds = model_forward(ckpt.params, batch, mode="eval")
     if ckpt.normalizer is not None:
         preds = ckpt.normalizer.invert_targets(preds)
+    bad = ~np.isfinite(preds[..., 0]) & (batch.mask > 0)
+    if bad.any():
+        raise NumericalError(f"non-finite predictions for id {ids[int(np.argmax(bad.any(axis=1)))]}")
     directory = _out_dir(args)
     for row, record_id in enumerate(ids):
         record = records[record_id]

@@ -24,14 +24,16 @@ def _first_bad_layer(spec, caches):
 
 
 def backward(params, batch, loss_kind: str, mode: str = "train",
-             rng: np.random.Generator | None = None, dropout_masks: list | None = None):
+             rng: np.random.Generator | None = None, dropout_masks: list | None = None,
+             *, workspace: nn.Workspace | None = None):
     """Loss and its exact gradient (flat vector, ModelParams.flatten packing).
 
     In train mode, dropout kept masks are sampled once in the forward pass
     and reused in the backward pass; pass dropout_masks to pin them.
+    `workspace` serves the large arrays of both passes (see nn.forward).
     """
     preds, caches = nn.forward(params, batch.features, batch.mask, mode=mode,
-                               rng=rng, dropout_masks=dropout_masks)
+                               rng=rng, dropout_masks=dropout_masks, workspace=workspace)
     value, dpred = loss_and_grad(loss_kind, preds, batch.targets, batch.mask)
     if not np.isfinite(value):
         where = _first_bad_layer(params.spec, caches)

@@ -26,6 +26,8 @@ class GridCombo:
             raise ValueError(f"loss must be one of {LOSS_KINDS} (got {self.loss!r})")
         if self.activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"activation must be one of {OUTPUT_ACTIVATIONS} (got {self.activation!r})")
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int):
+            raise ValueError(f"epochs must be an integer (got {self.epochs!r})")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1 (got {self.epochs!r})")
 
@@ -106,7 +108,7 @@ def parse_gridspec(path) -> list:
             try:
                 doc = json.loads(line)
                 combos.append(GridCombo(cell=doc["cell"], loss=doc["loss"],
-                                        activation=doc["activation"], epochs=int(doc["epochs"])))
+                                        activation=doc["activation"], epochs=doc["epochs"]))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: bad grid combo ({exc})") from exc
     if not combos:

@@ -327,6 +327,46 @@ def build_model(spec: ModelSpec, init_seed: int = 0) -> ModelParams:
 # caches optional, backwards writing into gradient views
 
 
+class Workspace:
+    """Arrays reused by the forward and backward passes of many minibatches.
+
+    Each role is one flat float64 arena, and a request is a prefix of it
+    reshaped to the requested shape, so it is contiguous; an arena grows only
+    when a larger shape arrives. An array stays valid until its role is
+    requested again, so arrays alive at the same time never share a role.
+    `zeros` zeroes the array it returns, also when it is reused.
+    """
+
+    def __init__(self):
+        self._arenas = {}
+
+    def empty(self, role, shape):
+        size = math.prod(shape)
+        arena = self._arenas.get(role)
+        if arena is None or arena.size < size:
+            arena = self._arenas[role] = np.empty(size)
+        return arena[:size].reshape(shape)
+
+    def zeros(self, role, shape):
+        out = self.empty(role, shape)
+        out.fill(0.0)
+        return out
+
+
+class _Throwaway(Workspace):
+    """The workspace of a call that is given none: it keeps nothing, so
+    every request is a new array, freed as soon as it is unreferenced."""
+
+    def empty(self, role, shape):
+        return np.empty(shape)
+
+    def zeros(self, role, shape):
+        return np.zeros(shape)
+
+
+_THROWAWAY = _Throwaway()
+
+
 def _runs(layers) -> list:
     """[start, stop) layer index pairs: each maximal run of consecutive
     recurrent layers that share kind, units and activations, and every dense
@@ -367,13 +407,21 @@ class _Wave:
     one after another, and parameter gradients reduce over batch-major
     copies, so results are bitwise the same for batches of two or more rows
     (one row turns the per-step products into matrix-vector products).
+
+    The run's large arrays come from `workspace`. Wave arrays and the run
+    output live from the forward pass to the backward pass, so their roles
+    are keyed by `key`, the run's first layer index. The input projection and
+    the backward copies live within one pass of one run, so every run shares
+    those roles, the projection of a preactivation block with that block's
+    copy.
     """
 
-    def __init__(self, mask, members: int, cached: bool):
+    def __init__(self, mask, members: int, cached: bool, workspace: Workspace, key: int):
         self.n, self.T = mask.shape
         self.K = members
         self.S = self.T + members - 1
         self.cached = cached
+        self.workspace, self.key = workspace, key
         self.mask = mask.T[:, :, None]  # [T, n, 1]
         # full[s]: every row of every member active at s is valid, so the
         # masked blend of step s is the identity and is skipped.
@@ -390,19 +438,27 @@ class _Wave:
             m = None if self.full[s] else self.mask[s - active.stop + 1 : s - active.start + 1][::-1]
             yield s, active, m
 
-    def buffer(self, width: int, state: bool = False):
+    def buffer(self, role: str, width: int, state: bool = False):
+        """A wave array; states start at zero."""
         slots = (self.S if self.cached else 1) + state
-        return (np.zeros if state else np.empty)((slots, self.K, self.n, width))
+        take = self.workspace.zeros if state else self.workspace.empty
+        return take((self.key, role), (slots, self.K, self.n, width))
 
     def member(self, arr, j: int, shift: int = 0):
         """Member j's [n, T, width] view of a wave array; shift 1 reads the
         values written at s + 1 (states after each step, emitted outputs)."""
         return arr[j + shift : j + shift + self.T, j].transpose(1, 0, 2)
 
-    def batch_major(self, arr, j: int, shift: int = 0):
+    def transient(self, role: str, width: int):
+        """An [n, T, width] array that lives within one pass of this run."""
+        return self.workspace.empty(("pass", role), (self.n, self.T, width))
+
+    def batch_major(self, role: str, arr, j: int, shift: int = 0):
         """A contiguous [n, T, width] copy of member j's slice: parameter
         gradients reduce over these in (n, T) order."""
-        return np.ascontiguousarray(self.member(arr, j, shift))
+        out = self.transient(role, arr.shape[3])
+        np.copyto(out, self.member(arr, j, shift))
+        return out
 
     def carry(self, m, h_new, h, emitted):
         """Emit h_new, then carry the state of masked rows: emitted = m * h_new,
@@ -412,6 +468,10 @@ class _Wave:
         else:
             np.multiply(m, h_new, out=emitted)
             np.add(emitted, (1.0 - m) * h, out=h_new)
+
+    def output_buffer(self, width: int):
+        """The run output [n, T, width]."""
+        return self.workspace.empty((self.key, "out"), (self.n, self.T, width))
 
     def output(self, s: int, active: slice, emitted, out):
         """Copy the last member's emitted [n, u] step into the run output."""
@@ -424,9 +484,11 @@ class _Inputs:
     of a run: member 0's is one whole-sequence product over the run's input,
     members j >= 1 project per wave step what member j - 1 just emitted."""
 
-    def __init__(self, wave: _Wave, params: list, rows: slice, x):
+    def __init__(self, wave: _Wave, role: str, params: list, rows: slice, x):
         u = params[0].units
-        self.first = x @ params[0].kernel[rows, u:].T + params[0].bias[rows]
+        w = params[0].kernel[rows, u:].T
+        self.first = np.matmul(x, w, out=wave.transient(role, w.shape[1]))
+        self.first += params[0].bias[rows]
         rest = params[1:]
         if rest:
             self.w = _stack(rest, rows, slice(u, None)).transpose(0, 2, 1)
@@ -459,18 +521,18 @@ def _pass_down(s: int, active: slice, d_out, blocks):
             dx += da[s, mem] @ w[prev]
 
 
-def _lstm_run_forward(layer: LayerSpec, params: list, x, mask, want_cache: bool):
-    """A run of LSTM layers (one LstmParams each) over x [n, T, d]; returns
-    the last member's output [n, T, u] and one cache entry per member."""
-    wave = _Wave(mask, len(params), want_cache)
+def _lstm_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
+    """A run of LSTM layers (one LstmParams each) over x [n, T, d], on the
+    schedule of `wave`; returns the last member's output [n, T, u] and one
+    cache entry per member."""
     u = params[0].units
     rec, act = _ACTIVATIONS[layer.recurrent_activation][0], _ACTIVATIONS[layer.activation][0]
     wh = _stack(params, slice(None), slice(None, u)).transpose(0, 2, 1)  # [K, u, 4u]
-    inputs = _Inputs(wave, params, slice(None), x)
-    A, G = wave.buffer(4 * u), wave.buffer(4 * u)
-    CN, TC = wave.buffer(u), wave.buffer(u)
-    H, C, Y = wave.buffer(u, True), wave.buffer(u, True), wave.buffer(u, True)
-    out = np.empty((wave.n, wave.T, u))
+    inputs = _Inputs(wave, "A", params, slice(None), x)
+    A, G = wave.buffer("A", 4 * u), wave.buffer("G", 4 * u)
+    CN, TC = wave.buffer("CN", u), wave.buffer("TC", u)
+    H, C, Y = wave.buffer("H", u, True), wave.buffer("C", u, True), wave.buffer("Y", u, True)
+    out = wave.output_buffer(u)
     for s, active, m in wave.steps():
         i, now, nxt = s % len(A), s % len(H), (s + 1) % len(H)
         a, g = A[i, active], G[i, active]
@@ -488,7 +550,7 @@ def _lstm_run_forward(layer: LayerSpec, params: list, x, mask, want_cache: bool)
             np.add(m * c_new, (1.0 - m) * c, out=C[nxt, active])
         wave.carry(m, h_new, h, Y[nxt, active])
         wave.output(s, active, Y[nxt], out)
-    if not want_cache:
+    if not wave.cached:
         return out, [None] * wave.K
     run = {"wave": wave, "x": x, "A": A, "G": G, "CN": CN, "TC": TC, "H": H, "C": C, "Y": Y}
     return out, [{"A": wave.member(A, j), "G": wave.member(G, j), "Hp": wave.member(H, j),
@@ -535,10 +597,10 @@ def _lstm_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
             dc[active] = keep * dc[active] + dcn * g[..., u : 2 * u]
         _pass_down(s, active, d_out, blocks)
     for j, grad in enumerate(grads):
-        da = wave.batch_major(A, j)
+        da = wave.batch_major("A", A, j)
         flat = da.reshape(-1, 4 * u)
-        grad.kernel[:, :u] = flat.T @ wave.batch_major(H, j).reshape(-1, u)
-        xj = x if j == 0 else wave.batch_major(run["Y"], j - 1, shift=1)
+        grad.kernel[:, :u] = flat.T @ wave.batch_major("H", H, j).reshape(-1, u)
+        xj = x if j == 0 else wave.batch_major("Y", run["Y"], j - 1, shift=1)
         grad.kernel[:, u:] = flat.T @ xj.reshape(-1, xj.shape[2])
         grad.bias[:] = flat.sum(axis=0)
         if j == 0:
@@ -547,19 +609,18 @@ def _lstm_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
     return dx
 
 
-def _gru_run_forward(layer: LayerSpec, params: list, x, mask, want_cache: bool):
+def _gru_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
     """A run of GRU layers (one GruParams each); see _lstm_run_forward."""
-    wave = _Wave(mask, len(params), want_cache)
     u = params[0].units
     zr, cand_rows = slice(None, 2 * u), slice(2 * u, None)
     rec, act = _ACTIVATIONS[layer.recurrent_activation][0], _ACTIVATIONS[layer.activation][0]
     wh_zr = _stack(params, zr, slice(None, u)).transpose(0, 2, 1)  # [K, u, 2u]
     wh_c = _stack(params, cand_rows, slice(None, u)).transpose(0, 2, 1)  # [K, u, u]
-    inputs_zr, inputs_c = _Inputs(wave, params, zr, x), _Inputs(wave, params, cand_rows, x)
-    AZR, GZR = wave.buffer(2 * u), wave.buffer(2 * u)
-    AC, CAND, RH = wave.buffer(u), wave.buffer(u), wave.buffer(u)
-    H, Y = wave.buffer(u, True), wave.buffer(u, True)
-    out = np.empty((wave.n, wave.T, u))
+    inputs_zr, inputs_c = _Inputs(wave, "AZR", params, zr, x), _Inputs(wave, "AC", params, cand_rows, x)
+    AZR, GZR = wave.buffer("AZR", 2 * u), wave.buffer("GZR", 2 * u)
+    AC, CAND, RH = wave.buffer("AC", u), wave.buffer("CAND", u), wave.buffer("RH", u)
+    H, Y = wave.buffer("H", u, True), wave.buffer("Y", u, True)
+    out = wave.output_buffer(u)
     for s, active, m in wave.steps():
         i, now, nxt = s % len(AZR), s % len(H), (s + 1) % len(H)
         h, h_new = H[now, active], H[nxt, active]
@@ -577,7 +638,7 @@ def _gru_run_forward(layer: LayerSpec, params: list, x, mask, want_cache: bool):
         h_new += z * cand
         wave.carry(m, h_new, h, Y[nxt, active])
         wave.output(s, active, Y[nxt], out)
-    if not want_cache:
+    if not wave.cached:
         return out, [None] * wave.K
     run = {"wave": wave, "x": x, "AZR": AZR, "GZR": GZR, "AC": AC, "CAND": CAND, "RH": RH, "H": H, "Y": Y}
     return out, [{"Azr": wave.member(AZR, j), "Gzr": wave.member(GZR, j), "Ac": wave.member(AC, j),
@@ -627,11 +688,11 @@ def _gru_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
         dh[active] += dhp
         _pass_down(s, active, d_out, blocks)
     for j, grad in enumerate(grads):
-        d_zr, d_c = wave.batch_major(AZR, j), wave.batch_major(AC, j)
+        d_zr, d_c = wave.batch_major("AZR", AZR, j), wave.batch_major("AC", AC, j)
         flat_zr, flat_c = d_zr.reshape(-1, 2 * u), d_c.reshape(-1, u)
-        grad.kernel[zr, :u] = flat_zr.T @ wave.batch_major(H, j).reshape(-1, u)
-        grad.W_h[:, :u] = flat_c.T @ wave.batch_major(RH, j).reshape(-1, u)
-        xj = x if j == 0 else wave.batch_major(run["Y"], j - 1, shift=1)
+        grad.kernel[zr, :u] = flat_zr.T @ wave.batch_major("H", H, j).reshape(-1, u)
+        grad.W_h[:, :u] = flat_c.T @ wave.batch_major("RH", RH, j).reshape(-1, u)
+        xj = x if j == 0 else wave.batch_major("Y", run["Y"], j - 1, shift=1)
         x_flat = xj.reshape(-1, xj.shape[2])
         grad.kernel[zr, u:] = flat_zr.T @ x_flat
         grad.W_h[:, u:] = flat_c.T @ x_flat
@@ -666,7 +727,7 @@ _RUN_BACKWARD = {"lstm": _lstm_run_backward, "gru": _gru_run_backward}
 
 def forward(params: ModelParams, features, mask, mode: str = "eval",
             rng: np.random.Generator | None = None, dropout_masks: list | None = None,
-            want_cache: bool = True):
+            want_cache: bool = True, *, workspace: Workspace | None = None):
     """Run the whole stack; returns (predictions, caches).
 
     features: [n, T, input_dim], mask: [n, T]. In train mode each dropout
@@ -679,7 +740,10 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
     activations goes through time as one wavefront (see _Wave); its members'
     cache entries are [n, T, .] views into the run's arrays. The caches serve
     one backward pass, which overwrites a run's preactivations ("A", "Azr",
-    "Ac") with their gradients.
+    "Ac") with their gradients. Runs take their large arrays from
+    `workspace`; without one every array is new. A workspace hands the same
+    memory to its next forward pass, so caches, and predictions that a
+    recurrent run emits, stay valid until then.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval (got {mode!r})")
@@ -690,13 +754,15 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
             f"features must be [n, T, {spec.input_dim}], got {features.shape}"
         )
     mask = np.asarray(mask, dtype=np.float64)
+    workspace = _THROWAWAY if workspace is None else workspace
     x = features
     caches = []
     drop_index = 0
     for start, stop in _runs(spec.layers):
         layer, p = spec.layers[start], params.layers[start]
         if layer.kind in _RUN_FORWARD:
-            x, run_caches = _RUN_FORWARD[layer.kind](layer, params.layers[start:stop], x, mask, want_cache)
+            wave = _Wave(mask, stop - start, want_cache, workspace, start)
+            x, run_caches = _RUN_FORWARD[layer.kind](layer, params.layers[start:stop], x, wave)
             caches.extend(run_caches)
             continue
         if layer.kind == "dense":

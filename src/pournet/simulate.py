@@ -154,6 +154,8 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         lo, hi = self.length
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (lo, hi)):
+            raise ValueError(f"length bounds must be integers (got {self.length!r})")
         if not (1 <= lo <= hi):
             raise ValueError(f"length range must satisfy 1 <= lo <= hi (got {self.length!r})")
         if not (0.0 < self.ramp_frac <= 0.3):

@@ -9,7 +9,7 @@ from .data import PaddedBatch
 from .errors import NumericalError
 from .grad import backward
 from .losses import LOSS_KINDS, loss_value, per_sequence_metric
-from .nn import ModelParams, ModelSpec, build_model, model_forward
+from .nn import ModelParams, ModelSpec, Workspace, build_model, model_forward
 from .optim import AdamState, adam_step
 
 
@@ -64,10 +64,13 @@ class EvalResult:
 
 
 def evaluate(params: ModelParams, batch: PaddedBatch, loss_kind: str = "euclidean") -> EvalResult:
-    """Eval-mode loss plus the per-sequence metric breakdown."""
+    """Eval-mode loss plus the per-sequence metric breakdown; a loss that is
+    not finite raises NumericalError."""
     preds = model_forward(params, batch, mode="eval")
-    return EvalResult(loss=loss_value(loss_kind, preds, batch.targets, batch.mask),
-                      per_sequence=per_sequence_metric(loss_kind, preds, batch.targets, batch.mask))
+    loss = loss_value(loss_kind, preds, batch.targets, batch.mask)
+    if not np.isfinite(loss):
+        raise NumericalError(f"non-finite {loss_kind} loss ({loss})")
+    return EvalResult(loss=loss, per_sequence=per_sequence_metric(loss_kind, preds, batch.targets, batch.mask))
 
 
 def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch, config: TrainConfig):
@@ -80,7 +83,10 @@ def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch, con
     set, training stops after that many epochs without a strictly better
     validation loss and the best-epoch parameters are restored. A
     NumericalError from a minibatch step is re-raised with its epoch and
-    batch (both counted from 1) in front of the message.
+    batch (both counted from 1) in front of the message, and one from
+    validation as a non-finite validation loss of its epoch. One Workspace
+    serves every minibatch's forward and backward arrays and is dropped on
+    return.
     """
     n = train_batch.num_sequences
     if n < 1:
@@ -96,6 +102,7 @@ def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch, con
     best_val = np.inf
     best_flat = flat.copy()
     stale = 0
+    workspace = Workspace()
     for epoch in range(1, config.epochs + 1):
         tic = time.perf_counter()
         order = rng.permutation(n)
@@ -104,7 +111,7 @@ def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch, con
             sub = train_batch.take(order[start : start + batch_size])
             params = ModelParams.from_flat(spec, flat)
             try:
-                loss, grads = backward(params, sub, config.loss, mode="train", rng=rng)
+                loss, grads = backward(params, sub, config.loss, mode="train", rng=rng, workspace=workspace)
                 if config.clip_norm is not None:
                     norm = float(np.linalg.norm(grads))
                     if norm > config.clip_norm:
@@ -114,7 +121,10 @@ def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch, con
                 raise NumericalError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
             batch_losses.append(loss)
         params = ModelParams.from_flat(spec, flat)
-        val_loss = evaluate(params, val_batch, config.loss).loss
+        try:
+            val_loss = evaluate(params, val_batch, config.loss).loss
+        except NumericalError as exc:
+            raise NumericalError(f"epoch {epoch}: non-finite validation loss") from exc
         history.train_loss.append(float(np.mean(batch_losses)))
         history.val_loss.append(val_loss)
         history.seconds.append(time.perf_counter() - tic)

@@ -71,17 +71,47 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def test_nonfinite_checkpoint_is_data_error(tmp_path, ws, capsys):
+def _checkpoint_with_value(ws, tmp_path, block, value):
+    """The trained checkpoint with the first value of parameter block `block`
+    (its header line, up to the shape) replaced by the text `value`."""
     lines = (ws["train_dir"] / "checkpoint.txt").read_text().splitlines()
-    row = next(i for i, line in enumerate(lines) if line.startswith("param 0 lstm W_i")) + 1
-    lines[row] = " ".join(["nan"] + lines[row].split()[1:])
-    bad = tmp_path / "nan.txt"
-    bad.write_text("\n".join(lines) + "\n")
+    row = next(i for i, line in enumerate(lines) if line.startswith(f"param {block} ")) + 1
+    lines[row] = " ".join([value] + lines[row].split()[1:])
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_nonfinite_checkpoint_is_data_error(tmp_path, ws, capsys):
+    bad = _checkpoint_with_value(ws, tmp_path, "0 lstm W_i", "nan")
     code = main(["evaluate", "--checkpoint", str(bad), "--data", str(ws["data"]),
                  "--out-dir", str(tmp_path)])
     assert code == EXIT_DATA
     assert "non-finite value in layer 0 W_i" in capsys.readouterr().err
     assert not (tmp_path / "metrics.txt").exists()
+
+
+def test_huge_head_weight_is_numeric_error_in_evaluate(tmp_path, ws, capsys):
+    # A finite checkpoint whose loss overflows to inf.
+    huge = _checkpoint_with_value(ws, tmp_path, "7 dense W", "1e300")
+    with np.errstate(over="ignore"):
+        code = main(["evaluate", "--checkpoint", str(huge), "--data", str(ws["data"]),
+                     "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numerical failure: non-finite euclidean loss (inf)\n"
+    assert not (tmp_path / "metrics.txt").exists()
+
+
+def test_overflowing_prediction_is_numeric_error_in_predict(tmp_path, ws, capsys):
+    # A finite checkpoint whose predictions overflow to inf once the
+    # normalizer scales them back to pounds-force.
+    overflow = _checkpoint_with_value(ws, tmp_path, "7 dense b", "1.7e308")
+    with np.errstate(over="ignore"):
+        code = main(["predict", "--checkpoint", str(overflow), "--data", str(ws["data"]),
+                     "--ids", "0,1", "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numerical failure: non-finite predictions for id 0\n"
+    assert not list(tmp_path.glob("pred_*.txt"))
 
 
 def _checkpoint_with(index, edit, named):
@@ -151,6 +181,17 @@ def _ranges_file(doc, key):
     return make
 
 
+def _gridspec_with_epochs(epochs):
+    """Run the grid on a one-combo gridspec whose epochs is the given JSON value."""
+    def make(ws, tmp_path):
+        path = tmp_path / "combos.jsonl"
+        path.write_text(json.dumps({"cell": "lstm", "loss": "mse", "activation": "linear", "epochs": epochs}))
+        argv = ["grid", "--data", str(ws["data"]), "--manifest", str(ws["manifest"]), "--gridspec", str(path),
+                "--batch-size", "4", "--out-dir", str(tmp_path / "grid")]
+        return argv, [str(path), "line 1", f"epochs must be an integer (got {epochs!r})"]
+    return make
+
+
 @pytest.mark.parametrize("make", [
     _checkpoint_with(1, lambda spec: spec["layers"][0].update(bogus=1), "bogus"),
     _record_with("d_cup", "abc"),
@@ -159,6 +200,7 @@ def _ranges_file(doc, key):
     _record_with("d_cup", 10**400, "line 2: d_cup must be finite"),
     _ranges_file({"trajectory": {"length": 5}}, "length"),
     _ranges_file({"trajectory": {"length": [1, "a"]}}, "length"),
+    _ranges_file({"trajectory": {"length": [8.5, 14.2]}}, "length bounds must be integers"),
     _ranges_file({"d_cm": ["a", 2]}, "d_cm"),
     _ranges_file({"d_cm": [60.0, 110.0], "bogus": [1, 2]}, "bogus"),
     _ranges_file({"trajectory": {"length": [8, 14], "noise_sigma": 0.1}}, "noise_sigma"),
@@ -177,15 +219,19 @@ def _ranges_file(doc, key):
     _spec_file("9", "16.5", "layer 0: units must be an integer"),
     _spec_file("9", "1e400", "layer 0: units must be an integer"),
     _spec_file("9.5", "16", "input_dim must be an integer"),
+    _gridspec_with_epochs(2.7),
+    _gridspec_with_epochs(True),
+    _gridspec_with_epochs("3"),
 ], ids=["checkpoint_layer_key", "record_d_cup_text", "record_d_cup_null", "record_d_cup_bool",
         "record_d_cup_huge_int",
-        "trajectory_length_scalar", "trajectory_length_text", "ranges_d_cm_text",
+        "trajectory_length_scalar", "trajectory_length_text", "trajectory_length_fraction", "ranges_d_cm_text",
         "ranges_unknown_key", "trajectory_noise_sigma", "trajectory_not_object",
         "record_theta_text", "record_weight_huge_int",
         "manifest_float_id", "manifest_id_string", "manifest_duplicate_train_id",
         "manifest_val_id_in_train", "manifest_bool_id", "manifest_nan_feature_offset",
         "checkpoint_infinite_target_offset", "spec_units_fraction", "spec_units_overflow",
-        "spec_input_dim_fraction"])
+        "spec_input_dim_fraction", "gridspec_epochs_fraction", "gridspec_epochs_bool",
+        "gridspec_epochs_string"])
 def test_malformed_input_is_data_error_naming_file_and_field(tmp_path, ws, capsys, make):
     argv, named = make(ws, tmp_path)
     assert main(argv) == EXIT_DATA
@@ -466,3 +512,4 @@ def test_grid_with_gridspec_file(tmp_path, ws):
     assert body[0].split()[1:4] == ["lstm", "mse", "linear"]
     assert body[1].split()[1:4] == ["gru", "euclidean", "relu"]
     assert all(ln.split()[-1] == "ok" for ln in body)
+

@@ -18,7 +18,7 @@ from pournet.grad import (
     gradcheck_case,
     relative_gradient_errors,
 )
-from pournet.nn import LayerSpec, ModelParams, ModelSpec, count_params
+from pournet.nn import LayerSpec, ModelParams, ModelSpec, Workspace, count_params, forward, reference_model
 
 
 def small_batch(rng, n=2, t_len=6, d=3, short=True):
@@ -206,3 +206,46 @@ def test_backward_reports_nonfinite_layer():
         params.layers[layer].kernel[0, 0] = np.inf
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalError, match=re.escape(f"in {where}") + "$"):
             backward(params, batch, "mse", mode="eval")
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_reused_workspace_gives_the_bytes_of_fresh_arrays(cell):
+    """A workspace filled with NaN between calls, served 32, then 16, then 32
+    rows, gives the loss and gradient bytes of calls without one, so no array
+    it hands out again leaks what an earlier call left in it."""
+    spec = reference_model(cell)
+    rng = np.random.default_rng(11)
+    params = ModelParams.from_flat(spec, rng.normal(0.0, 0.3, count_params(spec)))
+    n, t_len = 32, 9
+    mask = np.ones((n, t_len))
+    mask[3, 5:] = 0.0  # one row masked from step 5 on, in both batch sizes
+    features = rng.normal(0.0, 1.0, size=(n, t_len, spec.input_dim)) * mask[..., None]
+    targets = rng.normal(0.5, 0.5, size=(n, t_len, 1)) * mask[..., None]
+    full = PaddedBatch(features=features, targets=targets, mask=mask,
+                       lengths=mask.sum(axis=1).astype(np.int64))
+    workspace = Workspace()
+    arenas = None
+    for batch in (full, full.take(np.arange(16)), full):
+        masks = frozen_dropout_masks(spec, batch, np.random.default_rng(0))
+        want = backward(params, batch, "euclidean", dropout_masks=masks)
+        for arena in workspace._arenas.values():
+            arena.fill(np.nan)
+        got = backward(params, batch, "euclidean", dropout_masks=masks, workspace=workspace)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        if arenas is None:
+            arenas = dict(workspace._arenas)
+        # Smaller and equal shapes reuse the first call's arenas.
+        assert workspace._arenas.keys() == arenas.keys()
+        assert all(workspace._arenas[role] is arena for role, arena in arenas.items())
+
+    # Caches of a call without a workspace are its own: later calls, with or
+    # without a workspace, leave them as they were.
+    masks = frozen_dropout_masks(spec, full, np.random.default_rng(0))
+    _, caches = forward(params, full.features, full.mask, mode="train", dropout_masks=masks)
+    kept = [{k: v.copy() for k, v in cache.items() if isinstance(v, np.ndarray)} for cache in caches]
+    backward(params, full, "euclidean", dropout_masks=masks, workspace=workspace)
+    backward(params, full, "euclidean", dropout_masks=masks)
+    for cache, before in zip(caches, kept):
+        for key, value in before.items():
+            assert cache[key].tobytes() == value.tobytes()

@@ -59,6 +59,35 @@ def test_numerical_error_names_epoch_and_batch():
         train(spec, tb, vb, TrainConfig(loss="mse", epochs=1, batch_size=4, seed=0))
 
 
+def test_nan_validation_loss_names_its_epoch():
+    tb, vb, _ = tiny_batches()
+    vb.features[0, 0, 0] = np.nan  # training stays finite; validation does not
+    with pytest.raises(NumericalError, match=r"^epoch 1: non-finite validation loss$") as info:
+        train(TINY_SPEC, tb, vb, TrainConfig(loss="mse", epochs=3, batch_size=4, seed=0))
+    assert str(info.value.__cause__) == "non-finite mse loss (nan)"
+
+
+@pytest.mark.parametrize("patience", [None, 2])
+def test_each_epoch_calls_module_evaluate_once(monkeypatch, patience):
+    # bench/run.py splits a train() call into epochs at its calls of the
+    # module-level name pournet.train.evaluate.
+    import pournet.train as module
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(calls))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(module, "evaluate", counted)
+    tb, vb, _ = tiny_batches()
+    lr = 0.0 if patience else 1e-3  # lr 0: stale from epoch 2, so patience stops at epoch 3
+    _, history = train(TINY_SPEC, tb, vb, TrainConfig(loss="mse", lr=lr, epochs=5, batch_size=4,
+                                                      seed=0, patience=patience))
+    assert history.epochs_run == (3 if patience else 5)
+    assert len(calls) == history.epochs_run
+
+
 def test_lr_zero_keeps_params_bitwise():
     tb, vb, _ = tiny_batches()
     config = TrainConfig(loss="mse", lr=0.0, epochs=3, batch_size=4, seed=1)

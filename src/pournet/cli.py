@@ -295,10 +295,13 @@ def run_grid(args) -> int:
 # evaluate / predict
 
 
-def _checkpoint_batch(ckpt, records, ids):
+def _checkpoint_batch(args, ckpt, records, ids):
     batch = pad_and_mask(_records_for_ids(records, ids, "id list"))
     if ckpt.normalizer is not None:
-        batch = apply_normalizer(ckpt.normalizer, batch)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+            batch = apply_normalizer(ckpt.normalizer, batch)
+        if not (np.isfinite(batch.features).all() and np.isfinite(batch.targets).all()):
+            raise DatasetFormatError(f"{args.checkpoint}: line 3: normalizer maps {args.data} to non-finite values")
     if batch.features.shape[2] != ckpt.params.spec.input_dim:
         raise DatasetFormatError(
             f"checkpoint expects {ckpt.params.spec.input_dim} features, "
@@ -317,7 +320,7 @@ def run_evaluate(args) -> int:
         ids = {"train": manifest.train_ids, "val": manifest.val_ids, "test": manifest.test_ids}[args.split]
     else:
         ids = list(range(len(records)))
-    batch = _checkpoint_batch(ckpt, records, ids)
+    batch = _checkpoint_batch(args, ckpt, records, ids)
     result = evaluate(ckpt.params, batch, args.loss)
     out_path = Path(args.out) if args.out else _out_dir(args) / "metrics.txt"
     lines = [f"loss {args.loss} {result.loss:.17g}", "# id length value"]
@@ -342,10 +345,11 @@ def run_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     records = parse_dataset(args.data)
     ids = _parse_ids(args.ids)
-    batch = _checkpoint_batch(ckpt, records, ids)
-    preds = model_forward(ckpt.params, batch, mode="eval")
-    if ckpt.normalizer is not None:
-        preds = ckpt.normalizer.invert_targets(preds)
+    batch = _checkpoint_batch(args, ckpt, records, ids)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite predictions raise below
+        preds = model_forward(ckpt.params, batch, mode="eval")
+        if ckpt.normalizer is not None:
+            preds = ckpt.normalizer.invert_targets(preds)
     bad = ~np.isfinite(preds[..., 0]) & (batch.mask > 0)
     if bad.any():
         raise NumericalError(f"non-finite predictions for id {ids[int(np.argmax(bad.any(axis=1)))]}")

@@ -268,8 +268,11 @@ class Normalizer:
     target_scale: float
 
     def __post_init__(self):
-        self.feature_offset = np.asarray(self.feature_offset, dtype=np.float64)
-        self.feature_scale = np.asarray(self.feature_scale, dtype=np.float64)
+        try:
+            self.feature_offset = np.asarray(self.feature_offset, dtype=np.float64)
+            self.feature_scale = np.asarray(self.feature_scale, dtype=np.float64)
+        except OverflowError as exc:  # an int too large for a float
+            raise ValueError("normalizer statistics must be finite") from exc
         if self.feature_offset.shape != (NUM_FEATURES,) or self.feature_scale.shape != (NUM_FEATURES,):
             raise ValueError(f"normalizer statistics must have {NUM_FEATURES} columns")
         if not (np.all(self.feature_scale > 0) and self.target_scale > 0):

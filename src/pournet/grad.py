@@ -76,27 +76,55 @@ def frozen_dropout_masks(spec, batch, rng: np.random.Generator) -> list:
     return masks
 
 
+def numeric_gradient(params, batch, loss_kind: str, dropout_masks: list, h: float = FD_STEP) -> np.ndarray:
+    """Central-difference gradient of the train-mode loss with the given
+    dropout masks, one per dropout layer (flat vector, ModelParams.flatten
+    packing).
+
+    Layer i's coordinates are differenced through the suffix model of layers
+    i onward, fed the unperturbed output of the layers before it, which is
+    computed once. Valid steps depend on valid steps alone, and a recurrent
+    run computes bitwise what its members compute one after another, so every
+    loss is bitwise the whole stack's loss at the same point.
+    """
+    spec, flat = params.spec, params.flat
+    counts, widths = nn.layer_param_counts(spec), spec.widths()
+    numeric = np.empty(flat.size)
+    x, pos, drops = batch.features, 0, 0
+    for i, (layer, count) in enumerate(zip(spec.layers, counts)):
+        if count:
+            suffix = nn.ModelSpec(input_dim=widths[i], layers=spec.layers[i:])
+            probe = flat[pos:].copy()
+            masks = dropout_masks[drops:]
+
+            def loss_at(layer_flat):
+                probe[:count] = layer_flat
+                preds, _ = nn.forward(nn.ModelParams.from_flat(suffix, probe), x, batch.mask,
+                                      mode="train", dropout_masks=masks, want_cache=False)
+                return loss_and_grad(loss_kind, preds, batch.targets, batch.mask)[0]
+
+            numeric[pos : pos + count] = finite_diff_grad(loss_at, flat[pos : pos + count], h=h)
+        if i + 1 < len(spec.layers):
+            alone = nn.ModelSpec(input_dim=widths[i], layers=[layer])
+            x, _ = nn.forward(nn.ModelParams.from_flat(alone, flat[pos : pos + count]), x, batch.mask,
+                              mode="train", dropout_masks=dropout_masks[drops:], want_cache=False)
+        pos += count
+        drops += layer.kind == "dropout"
+    return numeric
+
+
 def check_gradients(params, batch, loss_kind: str, h: float = FD_STEP,
                     dropout_masks: list | None = None):
-    """Compare backprop against central differences with frozen dropout
-    (masks drawn from seed 0 unless given).
+    """Compare backprop against central differences (numeric_gradient) with
+    frozen dropout (masks drawn from seed 0 unless given).
 
     Returns (max_rel_err, worst_coordinate_index).
     """
-    spec = params.spec
     if dropout_masks is None:
-        dropout_masks = frozen_dropout_masks(spec, batch, np.random.default_rng(0))
+        dropout_masks = frozen_dropout_masks(params.spec, batch, np.random.default_rng(0))
     _, analytic = backward(params, batch, loss_kind, mode="train",
                            dropout_masks=dropout_masks)
-
-    def loss_at(flat):
-        p = nn.ModelParams.from_flat(spec, flat)
-        preds, _ = nn.forward(p, batch.features, batch.mask, mode="train",
-                              dropout_masks=dropout_masks, want_cache=False)
-        val, _ = loss_and_grad(loss_kind, preds, batch.targets, batch.mask)
-        return val
-
-    numeric = finite_diff_grad(loss_at, params.flatten(), h=h)
+    numeric = numeric_gradient(params, batch, loss_kind, dropout_masks, h=h)
     errors = relative_gradient_errors(analytic, numeric)
     worst = int(np.argmax(errors))
     return float(errors[worst]), worst

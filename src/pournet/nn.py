@@ -391,6 +391,14 @@ def _stack(params: list, rows: slice, cols: slice):
     return np.stack([p.kernel[rows, cols] for p in params])
 
 
+def _longest_first(mask):
+    """(order, last): each row's last step with a nonzero mask value (-1 for
+    a row with none), and the row order by it, stable and descending."""
+    live = mask != 0.0
+    last = np.where(live.any(axis=1), mask.shape[1] - 1 - live[:, ::-1].argmax(axis=1), -1)
+    return np.argsort(-last, kind="stable"), last
+
+
 class _Wave:
     """The wavefront schedule of a run of K recurrent layers over T steps.
 
@@ -403,10 +411,19 @@ class _Wave:
     caching they keep one slot (two for states) and are indexed modulo their
     length, so only rolling per-step buffers are allocated.
 
+    An uncached run of more than two rows steps only the rows it needs. It
+    sorts its rows by last valid step, longest first (`sort_rows`), steps at
+    s only the prefix of rows that are valid at some active member's t or
+    later, never fewer than two, ends after the last valid step, and puts
+    its output back in the caller's row order (`restore_rows`). Skipped rows
+    emit zeros, as masked steps do. A cached run steps every row at every
+    step, so the parameter gradients reduce over every (n, T) position.
+
     Every product keeps the operands and association of running the members
     one after another, and parameter gradients reduce over batch-major
     copies, so results are bitwise the same for batches of two or more rows
-    (one row turns the per-step products into matrix-vector products).
+    (one row turns the per-step products into matrix-vector products, which
+    is why a prefix keeps at least two rows).
 
     The run's large arrays come from `workspace`. Wave arrays and the run
     output live from the forward pass to the backward pass, so their roles
@@ -417,26 +434,55 @@ class _Wave:
     """
 
     def __init__(self, mask, members: int, cached: bool, workspace: Workspace, key: int):
-        self.n, self.T = mask.shape
+        n, T = self.n, self.T = mask.shape
         self.K = members
-        self.S = self.T + members - 1
+        self.S = T + members - 1
         self.cached = cached
         self.workspace, self.key = workspace, key
+        self.order = None
+        self.trimmed = not cached and n > 2
+        if self.trimmed:
+            order, last = _longest_first(mask)
+            if (order != np.arange(n)).any():
+                self.order, mask = order, mask[order]
+            self.S = int(last.max()) + members
+            # later[t]: the rows valid at t or after (at least two); step s
+            # steps those of its earliest active t = s - K + 1
+            later = np.maximum(2, (last[:, None] >= np.arange(T)).sum(axis=0))
+            counts = later[np.maximum(0, np.arange(self.S) - members + 1)]
+            self.rows = [slice(None, c) for c in counts.tolist()]
+            # reach[s]: the first row that some member active at s sees masked
+            blend = mask != 1.0
+            first = np.where(blend.any(axis=0), blend.argmax(axis=0), n)
+            reach = np.full(T + members - 1, n)
+            for j in range(members):
+                np.minimum(reach[j : j + T], first, out=reach[j : j + T])
+            masked = reach[: self.S] < counts
+        else:
+            self.rows = [slice(None)] * self.S
+            masked = (mask != 1.0).any(axis=0)
+            if members > 1:
+                masked = np.convolve(masked, np.ones(members))
         self.mask = mask.T[:, :, None]  # [T, n, 1]
-        # full[s]: every row of every member active at s is valid, so the
-        # masked blend of step s is the identity and is skipped.
-        masked = (mask != 1.0).any(axis=0)
-        if members > 1:
-            masked = np.convolve(masked, np.ones(members))
+        # full[s]: every stepped row of every member active at s is valid, so
+        # the masked blend of step s is the identity and is skipped.
         self.full = masked == 0
 
     def steps(self, reverse: bool = False):
-        """Yield (s, active members as a slice, their [k, n, 1] mask or None
-        when every row is valid)."""
+        """Yield (s, active members as a slice, the stepped rows as a slice,
+        their [k, rows, 1] mask or None when every stepped row is valid)."""
         for s in range(self.S - 1, -1, -1) if reverse else range(self.S):
-            active = slice(max(0, s - self.T + 1), min(self.K, s + 1))
-            m = None if self.full[s] else self.mask[s - active.stop + 1 : s - active.start + 1][::-1]
-            yield s, active, m
+            active, rows = slice(max(0, s - self.T + 1), min(self.K, s + 1)), self.rows[s]
+            m = None if self.full[s] else self.mask[s - active.stop + 1 : s - active.start + 1, rows][::-1]
+            yield s, active, rows, m
+
+    def sort_rows(self, x):
+        """The run input in the run's row order."""
+        return x if self.order is None else x[self.order]
+
+    def restore_rows(self, out):
+        """The run output in the caller's row order."""
+        return out if self.order is None else out[np.argsort(self.order)]
 
     def buffer(self, role: str, width: int, state: bool = False):
         """A wave array; states start at zero."""
@@ -470,13 +516,14 @@ class _Wave:
             np.add(emitted, (1.0 - m) * h, out=h_new)
 
     def output_buffer(self, width: int):
-        """The run output [n, T, width]."""
-        return self.workspace.empty((self.key, "out"), (self.n, self.T, width))
+        """The run output [n, T, width]; zeros where a trimmed run skips."""
+        take = self.workspace.zeros if self.trimmed else self.workspace.empty
+        return take((self.key, "out"), (self.n, self.T, width))
 
-    def output(self, s: int, active: slice, emitted, out):
-        """Copy the last member's emitted [n, u] step into the run output."""
+    def output(self, s: int, active: slice, rows: slice, emitted, out):
+        """Copy the last member's emitted [rows, u] step into the run output."""
         if active.stop == self.K:
-            out[:, s - self.K + 1] = emitted[-1]
+            out[rows, s - self.K + 1] = emitted[-1, rows]
 
 
 class _Inputs:
@@ -495,14 +542,14 @@ class _Inputs:
             self.b = np.stack([p.bias[rows] for p in rest])[:, None]
             self.buf = np.empty((len(rest), wave.n, self.w.shape[2]))
 
-    def add_to(self, a, s: int, active: slice, emitted):
+    def add_to(self, a, s: int, active: slice, rows: slice, emitted):
         """a[k] += the input projection of member active.start + k at step s."""
         if active.start == 0:
-            a[0] += self.first[:, s]
+            a[0] += self.first[rows, s]
         lo = max(active.start, 1)
         if lo < active.stop:
             prev = slice(lo - 1, active.stop - 1)
-            xp = np.matmul(emitted[prev], self.w[prev], out=self.buf[prev])
+            xp = np.matmul(emitted[prev, rows], self.w[prev], out=self.buf[prev, rows])
             xp += self.b[prev]
             a[lo - active.start :] += xp
 
@@ -528,30 +575,30 @@ def _lstm_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
     u = params[0].units
     rec, act = _ACTIVATIONS[layer.recurrent_activation][0], _ACTIVATIONS[layer.activation][0]
     wh = _stack(params, slice(None), slice(None, u)).transpose(0, 2, 1)  # [K, u, 4u]
-    inputs = _Inputs(wave, "A", params, slice(None), x)
+    inputs = _Inputs(wave, "A", params, slice(None), wave.sort_rows(x))
     A, G = wave.buffer("A", 4 * u), wave.buffer("G", 4 * u)
     CN, TC = wave.buffer("CN", u), wave.buffer("TC", u)
     H, C, Y = wave.buffer("H", u, True), wave.buffer("C", u, True), wave.buffer("Y", u, True)
     out = wave.output_buffer(u)
-    for s, active, m in wave.steps():
+    for s, active, rows, m in wave.steps():
         i, now, nxt = s % len(A), s % len(H), (s + 1) % len(H)
-        a, g = A[i, active], G[i, active]
-        h, c, h_new = H[now, active], C[now, active], H[nxt, active]
+        a, g = A[i, active, rows], G[i, active, rows]
+        h, c, h_new = H[now, active, rows], C[now, active, rows], H[nxt, active, rows]
         np.matmul(h, wh[active], out=a)
-        inputs.add_to(a, s, active, Y[now])
+        inputs.add_to(a, s, active, rows, Y[now])
         rec(a, g)  # whole rows are faster than strided gate columns
         act(a[..., 3 * u :], g[..., 3 * u :])
-        c_new = np.multiply(g[..., u : 2 * u], c, out=CN[i, active])
+        c_new = np.multiply(g[..., u : 2 * u], c, out=CN[i, active, rows])
         c_new += g[..., :u] * g[..., 3 * u :]
-        np.multiply(g[..., 2 * u : 3 * u], act(c_new, TC[i, active]), out=h_new)
+        np.multiply(g[..., 2 * u : 3 * u], act(c_new, TC[i, active, rows]), out=h_new)
         if m is None:
-            C[nxt, active] = c_new
+            C[nxt, active, rows] = c_new
         else:
-            np.add(m * c_new, (1.0 - m) * c, out=C[nxt, active])
-        wave.carry(m, h_new, h, Y[nxt, active])
-        wave.output(s, active, Y[nxt], out)
+            np.add(m * c_new, (1.0 - m) * c, out=C[nxt, active, rows])
+        wave.carry(m, h_new, h, Y[nxt, active, rows])
+        wave.output(s, active, rows, Y[nxt], out)
     if not wave.cached:
-        return out, [None] * wave.K
+        return wave.restore_rows(out), [None] * wave.K
     run = {"wave": wave, "x": x, "A": A, "G": G, "CN": CN, "TC": TC, "H": H, "C": C, "Y": Y}
     return out, [{"A": wave.member(A, j), "G": wave.member(G, j), "Hp": wave.member(H, j),
                   "Cp": wave.member(C, j), "Cn": wave.member(CN, j), "TC": wave.member(TC, j),
@@ -571,7 +618,7 @@ def _lstm_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
     dh_new, dc_new, d_cell = (np.empty((K, n, u)) for _ in range(3))
     deriv = np.empty((K, n, 4 * u))
     d_out = np.zeros((2, K, n, u))  # each member's output gradient, double-buffered
-    for s, active, m in wave.steps(reverse=True):
+    for s, active, _, m in wave.steps(reverse=True):
         if active.stop == K:
             d_out[s % 2, K - 1] = dout[:, s - K + 1]
         g, da, tc = G[s, active], A[s, active], TC[s, active]
@@ -616,30 +663,31 @@ def _gru_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
     rec, act = _ACTIVATIONS[layer.recurrent_activation][0], _ACTIVATIONS[layer.activation][0]
     wh_zr = _stack(params, zr, slice(None, u)).transpose(0, 2, 1)  # [K, u, 2u]
     wh_c = _stack(params, cand_rows, slice(None, u)).transpose(0, 2, 1)  # [K, u, u]
-    inputs_zr, inputs_c = _Inputs(wave, "AZR", params, zr, x), _Inputs(wave, "AC", params, cand_rows, x)
+    x_run = wave.sort_rows(x)
+    inputs_zr, inputs_c = _Inputs(wave, "AZR", params, zr, x_run), _Inputs(wave, "AC", params, cand_rows, x_run)
     AZR, GZR = wave.buffer("AZR", 2 * u), wave.buffer("GZR", 2 * u)
     AC, CAND, RH = wave.buffer("AC", u), wave.buffer("CAND", u), wave.buffer("RH", u)
     H, Y = wave.buffer("H", u, True), wave.buffer("Y", u, True)
     out = wave.output_buffer(u)
-    for s, active, m in wave.steps():
+    for s, active, rows, m in wave.steps():
         i, now, nxt = s % len(AZR), s % len(H), (s + 1) % len(H)
-        h, h_new = H[now, active], H[nxt, active]
-        a_zr, g_zr = AZR[i, active], GZR[i, active]
+        h, h_new = H[now, active, rows], H[nxt, active, rows]
+        a_zr, g_zr = AZR[i, active, rows], GZR[i, active, rows]
         np.matmul(h, wh_zr[active], out=a_zr)
-        inputs_zr.add_to(a_zr, s, active, Y[now])
+        inputs_zr.add_to(a_zr, s, active, rows, Y[now])
         rec(a_zr, g_zr)
         z = g_zr[..., :u]
-        rh = np.multiply(g_zr[..., u:], h, out=RH[i, active])
-        a_c = np.matmul(rh, wh_c[active], out=AC[i, active])
-        inputs_c.add_to(a_c, s, active, Y[now])
-        cand = act(a_c, CAND[i, active])
+        rh = np.multiply(g_zr[..., u:], h, out=RH[i, active, rows])
+        a_c = np.matmul(rh, wh_c[active], out=AC[i, active, rows])
+        inputs_c.add_to(a_c, s, active, rows, Y[now])
+        cand = act(a_c, CAND[i, active, rows])
         np.subtract(1.0, z, out=h_new)
         h_new *= h
         h_new += z * cand
-        wave.carry(m, h_new, h, Y[nxt, active])
-        wave.output(s, active, Y[nxt], out)
+        wave.carry(m, h_new, h, Y[nxt, active, rows])
+        wave.output(s, active, rows, Y[nxt], out)
     if not wave.cached:
-        return out, [None] * wave.K
+        return wave.restore_rows(out), [None] * wave.K
     run = {"wave": wave, "x": x, "AZR": AZR, "GZR": GZR, "AC": AC, "CAND": CAND, "RH": RH, "H": H, "Y": Y}
     return out, [{"Azr": wave.member(AZR, j), "Gzr": wave.member(GZR, j), "Ac": wave.member(AC, j),
                   "Cand": wave.member(CAND, j), "Hp": wave.member(H, j), "RH": wave.member(RH, j),
@@ -660,7 +708,7 @@ def _gru_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
     dh_new, dh_prev, d_rh, d_cand = (np.empty((K, n, u)) for _ in range(4))
     deriv = np.empty((K, n, 2 * u))
     d_out = np.zeros((2, K, n, u))  # each member's output gradient, double-buffered
-    for s, active, m in wave.steps(reverse=True):
+    for s, active, _, m in wave.steps(reverse=True):
         if active.stop == K:
             d_out[s % 2, K - 1] = dout[:, s - K + 1]
         h, g_zr, cand = H[s, active], GZR[s, active], CAND[s, active]
@@ -807,17 +855,22 @@ def backward_through_layers(params: ModelParams, caches, dpred):
 
 
 def model_forward(params: ModelParams, batch, mode: str = "eval") -> np.ndarray:
-    """Predictions [n, max_len, output_dim] for a PaddedBatch.
+    """Predictions [n, max_len, output_dim] for a PaddedBatch, in its row order.
 
-    Rows run through `forward` in near-equal chunks of at most 64, so memory
-    stays bounded on large corpora. No chunk has a single row unless the
-    batch has one: a one-row chunk would turn the kernel products into
-    matrix-vector products, which round differently. Values at masked steps
-    are defined but meant to be excluded by the mask in any loss.
+    Rows are ordered by length, longest first, and run through `forward` in
+    near-equal chunks of at most 64, so memory stays bounded on large
+    corpora and the rows of a chunk end together, which lets its recurrent
+    waves stop stepping rows early (see _Wave). No chunk has a single row
+    unless the batch has one: a one-row chunk would turn the kernel products
+    into matrix-vector products, which round differently. Values at masked
+    steps are defined but meant to be excluded by the mask in any loss.
     """
     n = batch.features.shape[0]
     chunks = max(1, -(-n // _CHUNK_ROWS))
     edges = [n * i // chunks for i in range(chunks + 1)]
-    preds = [forward(params, batch.features[lo:hi], batch.mask[lo:hi], mode=mode, want_cache=False)[0]
-             for lo, hi in zip(edges, edges[1:])]
-    return preds[0] if chunks == 1 else np.concatenate(preds)
+    order, _ = _longest_first(batch.mask)
+    preds = np.empty(batch.mask.shape + (params.spec.widths()[-1],))
+    for lo, hi in zip(edges, edges[1:]):
+        rows = order[lo:hi]
+        preds[rows] = forward(params, batch.features[rows], batch.mask[rows], mode=mode, want_cache=False)[0]
+    return preds

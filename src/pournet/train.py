@@ -65,12 +65,14 @@ class EvalResult:
 
 def evaluate(params: ModelParams, batch: PaddedBatch, loss_kind: str = "euclidean") -> EvalResult:
     """Eval-mode loss plus the per-sequence metric breakdown; a loss that is
-    not finite raises NumericalError."""
-    preds = model_forward(params, batch, mode="eval")
-    loss = loss_value(loss_kind, preds, batch.targets, batch.mask)
-    if not np.isfinite(loss):
-        raise NumericalError(f"non-finite {loss_kind} loss ({loss})")
-    return EvalResult(loss=loss, per_sequence=per_sequence_metric(loss_kind, preds, batch.targets, batch.mask))
+    not finite raises NumericalError, and numpy's overflow warnings on the
+    way to it are silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = model_forward(params, batch, mode="eval")
+        loss = loss_value(loss_kind, preds, batch.targets, batch.mask)
+        if not np.isfinite(loss):
+            raise NumericalError(f"non-finite {loss_kind} loss ({loss})")
+        return EvalResult(loss=loss, per_sequence=per_sequence_metric(loss_kind, preds, batch.targets, batch.mask))
 
 
 def train(spec: ModelSpec, train_batch: PaddedBatch, val_batch: PaddedBatch, config: TrainConfig):

@@ -203,6 +203,7 @@ def desk_scale_runs():
     return {"runs": runs, "elapsed": time.monotonic() - t0, "normalizer": normalizer}
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_learning(desk_scale_runs):
     runs, elapsed = desk_scale_runs["runs"], desk_scale_runs["elapsed"]
     passing = [r for r in runs
@@ -215,6 +216,7 @@ def test_criterion_6_desk_scale_learning(desk_scale_runs):
              f"{len(passing)}/3 seeds pass, {detail}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_invariant_training_loss_decreases(desk_scale_runs):
     # Invariant rider on the criterion-6 fixture: the last recorded training
     # loss must fall below the first for every seed.
@@ -224,6 +226,7 @@ def test_invariant_training_loss_decreases(desk_scale_runs):
     _verdict("invariant (training loss decreases)", ok, detail)
 
 
+@pytest.mark.slow
 def test_invariant_wide_cup_generalization_gap(desk_scale_runs):
     # Invariant rider on the criterion-6 fixture, the paper's second finding:
     # the model does badly on cups far from the training cups. On 75 pours

@@ -1,11 +1,17 @@
 """End-to-end command line checks: exit codes, artifacts, and reproducibility."""
 
+import contextlib
+import io
 import json
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pournet.checkpoint import load_checkpoint
 from pournet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _build_parser, main
@@ -94,7 +100,8 @@ def test_nonfinite_checkpoint_is_data_error(tmp_path, ws, capsys):
 def test_huge_head_weight_is_numeric_error_in_evaluate(tmp_path, ws, capsys):
     # A finite checkpoint whose loss overflows to inf.
     huge = _checkpoint_with_value(ws, tmp_path, "7 dense W", "1e300")
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
         code = main(["evaluate", "--checkpoint", str(huge), "--data", str(ws["data"]),
                      "--out-dir", str(tmp_path)])
     assert code == EXIT_NUMERIC
@@ -106,7 +113,8 @@ def test_overflowing_prediction_is_numeric_error_in_predict(tmp_path, ws, capsys
     # A finite checkpoint whose predictions overflow to inf once the
     # normalizer scales them back to pounds-force.
     overflow = _checkpoint_with_value(ws, tmp_path, "7 dense b", "1.7e308")
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
         code = main(["predict", "--checkpoint", str(overflow), "--data", str(ws["data"]),
                      "--ids", "0,1", "--out-dir", str(tmp_path)])
     assert code == EXIT_NUMERIC
@@ -216,6 +224,10 @@ def _gridspec_with_epochs(epochs):
                    "normalizer statistics must be finite"),
     _checkpoint_with(2, lambda norm: norm.update(target_offset=float("inf")),
                      "normalizer statistics must be finite"),
+    _checkpoint_with(2, lambda norm: norm.update(feature_scale=[10**400] + norm["feature_scale"][1:]),
+                     "normalizer statistics must be finite"),
+    _checkpoint_with(2, lambda norm: norm.update(feature_scale=[1e-320] + norm["feature_scale"][1:]),
+                     "normalizer maps"),
     _spec_file("9", "16.5", "layer 0: units must be an integer"),
     _spec_file("9", "1e400", "layer 0: units must be an integer"),
     _spec_file("9.5", "16", "input_dim must be an integer"),
@@ -229,7 +241,8 @@ def _gridspec_with_epochs(epochs):
         "record_theta_text", "record_weight_huge_int",
         "manifest_float_id", "manifest_id_string", "manifest_duplicate_train_id",
         "manifest_val_id_in_train", "manifest_bool_id", "manifest_nan_feature_offset",
-        "checkpoint_infinite_target_offset", "spec_units_fraction", "spec_units_overflow",
+        "checkpoint_infinite_target_offset", "checkpoint_huge_int_feature_scale",
+        "checkpoint_tiny_feature_scale", "spec_units_fraction", "spec_units_overflow",
         "spec_input_dim_fraction", "gridspec_epochs_fraction", "gridspec_epochs_bool",
         "gridspec_epochs_string"])
 def test_malformed_input_is_data_error_naming_file_and_field(tmp_path, ws, capsys, make):
@@ -239,6 +252,75 @@ def test_malformed_input_is_data_error_naming_file_and_field(tmp_path, ws, capsy
     assert err.startswith("data error")
     for text in named:
         assert text in err
+
+
+def _json_paths(doc, path=()):
+    """The key or index path of every value inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+_HOSTILE_JSON = st.sampled_from([None, True, False, "text", "", 0, -1, 2.5, 1e308, -1e308, 1e-320,
+                                 float("nan"), float("inf"), 10**400, [], {}, [0.5, "a"]])
+_HOSTILE_NUMBER = st.sampled_from(["1e308", "-1e308", "1e400", "nan", "-inf", "true", "abc", "1e-320", "0x1p3", ""])
+
+
+@st.composite
+def _mutated_checkpoint(draw, text):
+    """A valid checkpoint's text with one field of a JSON block dropped,
+    duplicated or retyped, one parameter value replaced, a line repeated, or
+    the file truncated."""
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["drop", "duplicate", "retype", "value", "line", "truncate"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "line":
+        at = draw(st.integers(1, len(lines) - 1))
+        lines.insert(at, lines[at])
+    elif kind == "value":
+        at = draw(st.sampled_from([i for i, line in enumerate(lines) if line[:1] in "-0123456789"]))
+        row = lines[at].split()
+        row[draw(st.integers(0, len(row) - 1))] = draw(_HOSTILE_NUMBER)
+        lines[at] = " ".join(row)
+    else:
+        at = draw(st.sampled_from([1, 2, 3]))  # spec, normalizer, seeds
+        prefix, _, body = lines[at].partition(" ")
+        doc = json.loads(body)
+        paths = [p for p in _json_paths(doc) if kind != "duplicate" or isinstance(p[-1], int)]
+        if not paths:
+            doc = draw(_HOSTILE_JSON)
+        else:
+            *parents, last = draw(st.sampled_from(paths))
+            parent = doc
+            for key in parents:
+                parent = parent[key]
+            if kind == "drop":
+                del parent[last]
+            elif kind == "duplicate":
+                parent.insert(last, parent[last])
+            else:
+                parent[last] = draw(_HOSTILE_JSON)
+        lines[at] = f"{prefix} {json.dumps(doc)}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_ends_at_an_exit_code(ws, data):
+    # evaluate and predict on a damaged checkpoint exit 0-3 and let nothing
+    # escape, numpy's warnings included
+    text = data.draw(_mutated_checkpoint((ws["train_dir"] / "checkpoint.txt").read_text()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.txt"
+        path.write_text(text)
+        for argv in (["evaluate"], ["predict", "--ids", "0,1"]):
+            argv += ["--checkpoint", str(path), "--data", str(ws["data"]), "--out-dir", tmp]
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("error")
+                assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, ws):

@@ -16,8 +16,10 @@ from pournet.grad import (
     finite_diff_grad,
     frozen_dropout_masks,
     gradcheck_case,
+    numeric_gradient,
     relative_gradient_errors,
 )
+from pournet.losses import loss_and_grad
 from pournet.nn import LayerSpec, ModelParams, ModelSpec, Workspace, count_params, forward, reference_model
 
 
@@ -162,6 +164,30 @@ def test_gradcheck_with_frozen_dropout():
     l1, g1 = backward(params, batch, "mse", mode="train", dropout_masks=masks)
     l2, g2 = backward(params, batch, "mse", mode="train", dropout_masks=masks)
     assert l1 == l2 and np.array_equal(g1, g2)
+
+
+def test_numeric_gradient_by_suffix_equals_whole_stack_differences():
+    # Layer 1 is the second member of a two-member LSTM run, so its suffix
+    # model splits the run; the suffixes from layer 3 on keep only the second
+    # dropout mask. Three rows (trimmed waves), one with a hole.
+    rng = np.random.default_rng(11)
+    rnn = LayerSpec("lstm", units=3, activation="tanh", recurrent_activation="sigmoid")
+    spec = ModelSpec(input_dim=3, layers=[
+        rnn, rnn, LayerSpec("dropout", rate=0.3), LayerSpec("dense", units=2, activation="tanh"),
+        LayerSpec("dropout", rate=0.3), LayerSpec("dense", units=1),
+    ])
+    params = ModelParams.from_flat(spec, rng.normal(0, 0.6, count_params(spec)))
+    batch = small_batch(rng, n=3, t_len=7)
+    batch.mask[1, 2:4] = 0.0
+    masks = frozen_dropout_masks(spec, batch, rng)
+
+    def loss_at(flat):
+        preds, _ = forward(ModelParams.from_flat(spec, flat), batch.features, batch.mask,
+                           mode="train", dropout_masks=masks, want_cache=False)
+        return loss_and_grad("euclidean", preds, batch.targets, batch.mask)[0]
+
+    whole = finite_diff_grad(loss_at, params.flatten())
+    assert numeric_gradient(params, batch, "euclidean", masks).tobytes() == whole.tobytes()
 
 
 def test_mask_extension_leaves_loss_and_gradient():

@@ -15,7 +15,9 @@ from pournet.nn import (
     LstmParams,
     ModelParams,
     ModelSpec,
+    Workspace,
     _runs,
+    _Wave,
     activation,
     build_model,
     count_params,
@@ -561,11 +563,11 @@ def test_forward_without_caches_is_bitwise_equal(cell, mode):
 
 
 def test_model_forward_chunks_match_one_whole_batch_pass():
-    # 130 rows run as chunks of 44, 43 and 43
+    # 130 rows of 1-300 steps run as chunks of 44, 43 and 43, longest first
     spec = reference_model()
     params = build_model(spec, init_seed=4)
     rng = np.random.default_rng(4)
-    n, t_len = 130, 9
+    n, t_len = 130, 300
     feats = rng.normal(0, 1, size=(n, t_len, 9))
     lengths = rng.integers(1, t_len + 1, size=n)
     mask = (np.arange(t_len)[None, :] < lengths[:, None]).astype(np.float64)
@@ -573,3 +575,58 @@ def test_model_forward_chunks_match_one_whole_batch_pass():
     batch = PaddedBatch(features=feats, targets=np.zeros((n, t_len, 1)), mask=mask, lengths=lengths)
     whole, _ = forward(params, feats, mask, mode="eval", want_cache=False)
     assert model_forward(params, batch).tobytes() == whole.tobytes()
+
+
+def shuffled_mask(rng, n, t_len):
+    """Rows of shuffled lengths; with three rows or more, row 1 also has an
+    interior hole and row 2 is masked throughout."""
+    lengths = rng.permutation(np.linspace(1, t_len, n).astype(int))
+    mask = (np.arange(t_len)[None, :] < lengths[:, None]).astype(np.float64)
+    if n > 2:
+        mask[1, 1:4] = 0.0
+        mask[2] = 0.0
+    return mask
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("members", [1, 4])
+def test_trimmed_waves_give_the_bytes_of_cached_ones(cell, members):
+    # Uncached runs of more than two rows step only the rows still running;
+    # cached runs step every row. Predictions come out of a dense layer: a
+    # skipped row emits +0.0 where a stepped masked row emits m * h, which is
+    # -0.0 for a negative h, and the dense layer's bias maps both to one value.
+    rnn = LayerSpec(cell, units=6)
+    spec = ModelSpec(input_dim=3, layers=[rnn] * members + [
+        LayerSpec("dense", units=4, activation="relu"), LayerSpec(cell, units=5),
+        LayerSpec("dropout", rate=0.3), LayerSpec("dense", units=2)])
+    rng = np.random.default_rng(members)
+    params = ModelParams.from_flat(spec, rng.normal(0, 0.5, count_params(spec)))
+    t_len = 24
+    for n in (1, 2, 3, 16, 33, 70):
+        mask = shuffled_mask(rng, n, t_len)
+        feats = rng.normal(0, 1, size=(n, t_len, 3))
+        drop = [rng.random((n, t_len, 5)) >= 0.3]
+        for mode in ("eval", "train"):
+            cached, _ = forward(params, feats, mask, mode=mode, dropout_masks=drop)
+            trimmed, _ = forward(params, feats, mask, mode=mode, dropout_masks=drop, want_cache=False)
+            assert trimmed.tobytes() == cached.tobytes(), (n, mode)
+
+
+@pytest.mark.parametrize("members,rows,full", [
+    (1, [3] * 3 + [2] * 7, [True] * 7 + [False] * 3),
+    (3, [3] * 5 + [2] * 7, [True] * 3 + [False] * 2 + [True] * 2 + [False] * 5),
+])
+def test_trimmed_wave_steps_only_the_rows_still_running(members, rows, full):
+    # lengths 10, 3, 7: rows run longest first, a row drops out once every
+    # member has passed its last valid step, never below two rows, and the
+    # wave ends once the last member has passed step 9. A step skips the
+    # masked blend when every row it steps is valid for every active member.
+    mask = (np.arange(12)[None, :] < np.array([10, 3, 7])[:, None]).astype(np.float64)
+    wave = _Wave(mask, members, cached=False, workspace=Workspace(), key=0)
+    assert wave.order.tolist() == [0, 2, 1]
+    steps = list(wave.steps())
+    assert [s for s, _, _, _ in steps] == list(range(9 + members))
+    assert [r.stop for _, _, r, _ in steps] == rows
+    assert [m is None for _, _, _, m in steps] == full
+    cached = _Wave(mask, members, cached=True, workspace=Workspace(), key=0)
+    assert [(s, r) for s, _, r, _ in cached.steps()] == [(s, slice(None)) for s in range(12 + members - 1)]

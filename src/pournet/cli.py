@@ -89,8 +89,19 @@ def _config_argv(path, subparser) -> list:
     return argv
 
 
+def _seed(text: str) -> int:
+    """A --seed value: the RNGs take non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _common(parser, out_dir_default="."):
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+    parser.add_argument("--seed", type=_seed, default=0, help="RNG seed (a non-negative integer)")
     parser.add_argument("--out-dir", default=out_dir_default, help="directory for output files")
     parser.add_argument("--config", help="key=value file; flags override it")
 
@@ -377,8 +388,8 @@ def run_gradcheck(args) -> int:
     lines = [header]
     failures = []
     for cell in CELL_KINDS:
+        params, batch, masks = gradcheck_case(cell, args.seed)
         for loss in LOSS_KINDS:
-            params, batch, masks = gradcheck_case(cell, args.seed)
             worst_err, worst_coord = check_gradients(params, batch, loss, h=args.h,
                                                      dropout_masks=masks)
             passed = worst_err < args.tol  # False for a NaN error

@@ -1,6 +1,6 @@
-"""Exact backpropagation through the stacked model, the independent
-finite-difference oracle used to check it, and the kink-free check points
-that `pournet gradcheck` runs it on."""
+"""Exact backpropagation through the stacked model, the central differences
+used to check it, and the kink-free check points that `pournet gradcheck`
+runs them on."""
 
 import numpy as np
 
@@ -11,6 +11,12 @@ from .losses import LOSS_KINDS, loss_and_grad
 
 FD_STEP = 1e-5
 FD_TOL = 1e-5
+# Parameter copies x rows x steps per nn.copies_forward pass. It bounds the
+# memory of a pass: a pass's [copies, n, T, 64] arrays of a 16-unit LSTM are
+# 0.5 MB, so a reference_model() check of 2 rows x 7 steps, with its 3,328
+# copies of layer 0, stays near the memory of one forward pass per probe. A
+# batch with n x T >= 1024 runs one copy per pass.
+_PASS_BUDGET = 1024
 
 
 def _first_bad_layer(spec, caches):
@@ -42,22 +48,6 @@ def backward(params, batch, loss_kind: str, mode: str = "train",
     return value, flat
 
 
-def finite_diff_grad(loss_fn, flat_params, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of loss_fn at flat_params."""
-    flat = np.asarray(flat_params, dtype=np.float64)
-    grad = np.empty_like(flat)
-    probe = flat.copy()
-    for i in range(flat.size):
-        original = probe[i]
-        probe[i] = original + h
-        hi = loss_fn(probe)
-        probe[i] = original - h
-        lo = loss_fn(probe)
-        probe[i] = original
-        grad[i] = (hi - lo) / (2.0 * h)
-    return grad
-
-
 def relative_gradient_errors(analytic, numeric) -> np.ndarray:
     """Per-coordinate |ga - gf| / max(1e-8, |ga| + |gf|)."""
     ga = np.asarray(analytic, dtype=np.float64)
@@ -81,35 +71,38 @@ def numeric_gradient(params, batch, loss_kind: str, dropout_masks: list, h: floa
     dropout masks, one per dropout layer (flat vector, ModelParams.flatten
     packing).
 
-    Layer i's coordinates are differenced through the suffix model of layers
-    i onward, fed the unperturbed output of the layers before it, which is
-    computed once. Valid steps depend on valid steps alone, and a recurrent
-    run computes bitwise what its members compute one after another, so every
-    loss is bitwise the whole stack's loss at the same point.
+    Layer i's coordinates are differenced from layer i on, fed the
+    unperturbed output of the layers before it, computed once. Its probes are
+    parameter copies, 2c holding coordinate c at +h and 2c + 1 at -h, that run
+    through the layers from i on together (nn.copies_forward), in passes of
+    at most _PASS_BUDGET copies x rows x steps or of one copy on larger
+    batches, and each copy's predictions are scored on their own. Valid steps
+    depend on valid steps alone, and every copy makes the whole stack's
+    products and elementwise operations, so every loss is bitwise the whole
+    stack's loss at the same point.
     """
     spec, flat = params.spec, params.flat
-    counts, widths = nn.layer_param_counts(spec), spec.widths()
+    per_pass = max(1, _PASS_BUDGET // batch.mask.size)
     numeric = np.empty(flat.size)
-    x, pos, drops = batch.features, 0, 0
-    for i, (layer, count) in enumerate(zip(spec.layers, counts)):
+    pos = 0
+    for i, count in enumerate(nn.layer_param_counts(spec)):
         if count:
-            suffix = nn.ModelSpec(input_dim=widths[i], layers=spec.layers[i:])
-            probe = flat[pos:].copy()
-            masks = dropout_masks[drops:]
-
-            def loss_at(layer_flat):
-                probe[:count] = layer_flat
-                preds, _ = nn.forward(nn.ModelParams.from_flat(suffix, probe), x, batch.mask,
-                                      mode="train", dropout_masks=masks, want_cache=False)
-                return loss_and_grad(loss_kind, preds, batch.targets, batch.mask)[0]
-
-            numeric[pos : pos + count] = finite_diff_grad(loss_at, flat[pos : pos + count], h=h)
-        if i + 1 < len(spec.layers):
-            alone = nn.ModelSpec(input_dim=widths[i], layers=[layer])
-            x, _ = nn.forward(nn.ModelParams.from_flat(alone, flat[pos : pos + count]), x, batch.mask,
-                              mode="train", dropout_masks=dropout_masks[drops:], want_cache=False)
+            x = batch.features
+            if i:  # the prefix keeps its runs, so x has the whole stack's bits
+                prefix = nn.ModelSpec(input_dim=spec.input_dim, layers=spec.layers[:i])
+                x, _ = nn.forward(nn.ModelParams.from_flat(prefix, flat[:pos]), x, batch.mask,
+                                  mode="train", dropout_masks=dropout_masks, want_cache=False)
+            base = flat[pos : pos + count]
+            probes = np.column_stack([base + h, base - h]).ravel()
+            losses = np.empty(probes.size)
+            for lo in range(0, probes.size, per_pass):
+                hi = min(lo + per_pass, probes.size)
+                copies = np.tile(base, (hi - lo, 1))
+                copies[np.arange(hi - lo), np.arange(lo, hi) // 2] = probes[lo:hi]
+                preds = nn.copies_forward(params, i, copies, x, batch.mask, dropout_masks)
+                losses[lo:hi] = [loss_and_grad(loss_kind, p, batch.targets, batch.mask)[0] for p in preds]
+            numeric[pos : pos + count] = (losses[0::2] - losses[1::2]) / (2.0 * h)
         pos += count
-        drops += layer.kind == "dropout"
     return numeric
 
 

@@ -203,10 +203,10 @@ class _LayerParams:
         self.kernel = kernel
         self.bias = bias
         gates = len(self.FIELDS) // 2
-        u = self.units = bias.shape[0] // gates
+        u = self.units = bias.shape[-1] // gates
         for k in range(gates):
-            setattr(self, self.FIELDS[k], kernel[k * u : (k + 1) * u])
-            setattr(self, self.FIELDS[gates + k], bias[k * u : (k + 1) * u])
+            setattr(self, self.FIELDS[k], kernel[..., k * u : (k + 1) * u, :])
+            setattr(self, self.FIELDS[gates + k], bias[..., k * u : (k + 1) * u])
 
 
 class DenseParams(_LayerParams):
@@ -384,10 +384,12 @@ def _runs(layers) -> list:
 
 
 def _stack(params: list, rows: slice, cols: slice):
-    """One block of every member's kernel, stacked: [K, rows, cols] (a view
-    for a single member)."""
+    """One block of every member's kernel, stacked: [K, rows, cols]. For a
+    single member it is a view, with one entry per copy if the member holds
+    parameter copies (see copies_forward)."""
     if len(params) == 1:
-        return params[0].kernel[None, rows, cols]
+        kernel = params[0].kernel
+        return kernel.reshape((-1,) + kernel.shape[-2:])[:, rows, cols]
     return np.stack([p.kernel[rows, cols] for p in params])
 
 
@@ -400,7 +402,8 @@ def _longest_first(mask):
 
 
 class _Wave:
-    """The wavefront schedule of a run of K recurrent layers over T steps.
+    """The wavefront schedule of a run of K recurrent layers over T steps, or
+    of K parameter copies of one recurrent layer.
 
     At wave step s (0 <= s < S = T + K - 1) member j handles t = s - j, so the
     input of member j >= 1 at t is what member j - 1 emitted one wave step
@@ -425,6 +428,16 @@ class _Wave:
     (one row turns the per-step products into matrix-vector products, which
     is why a prefix keeps at least two rows).
 
+    With `copies` the K members are copies of one layer's parameters, and
+    they run with no lag: S = T, every copy is active at every step, projects
+    its own input and emits its own output, so the per-sequence arrays (input
+    projection, run output) are [K, n, T, width]. Every row steps at every
+    step, as in a cached run, and nothing is cached. A layer that is not the
+    first of its run in the whole model (`stepwise`) projects its input with
+    one product per step, as that run does. So each copy makes the products
+    and elementwise operations of the whole model's run, and its output is
+    bitwise that run's output for that layer, also for one row.
+
     The run's large arrays come from `workspace`. Wave arrays and the run
     output live from the forward pass to the backward pass, so their roles
     are keyed by `key`, the run's first layer index. The input projection and
@@ -433,14 +446,21 @@ class _Wave:
     copy.
     """
 
-    def __init__(self, mask, members: int, cached: bool, workspace: Workspace, key: int):
+    def __init__(self, mask, members: int, cached: bool, workspace: Workspace, key: int,
+                 copies: bool = False, stepwise: bool = False):
         n, T = self.n, self.T = mask.shape
-        self.K = members
-        self.S = T + members - 1
+        self.K, self.copies, self.stepwise = members, copies, stepwise
+        # wave steps from a step's input to the run output it becomes
+        self.delay = 0 if copies else members - 1
+        self.S = T + self.delay
         self.cached = cached
         self.workspace, self.key = workspace, key
+        # the members that project the run input and that emit the run
+        # output (an index drops the member axis), and the leading axes of
+        # per-sequence arrays
+        self.feeds, self.emits, self.lead = (slice(None), slice(None), (members,)) if copies else (0, -1, ())
         self.order = None
-        self.trimmed = not cached and n > 2
+        self.trimmed = not (cached or copies) and n > 2
         if self.trimmed:
             order, last = _longest_first(mask)
             if (order != np.arange(n)).any():
@@ -461,7 +481,7 @@ class _Wave:
         else:
             self.rows = [slice(None)] * self.S
             masked = (mask != 1.0).any(axis=0)
-            if members > 1:
+            if self.delay:
                 masked = np.convolve(masked, np.ones(members))
         self.mask = mask.T[:, :, None]  # [T, n, 1]
         # full[s]: every stepped row of every member active at s is valid, so
@@ -470,8 +490,15 @@ class _Wave:
 
     def steps(self, reverse: bool = False):
         """Yield (s, active members as a slice, the stepped rows as a slice,
-        their [k, rows, 1] mask or None when every stepped row is valid)."""
-        for s in range(self.S - 1, -1, -1) if reverse else range(self.S):
+        their [k, rows, 1] mask or None when every stepped row is valid;
+        copies share one [1, n, 1] mask)."""
+        order = range(self.S - 1, -1, -1) if reverse else range(self.S)
+        if self.copies:
+            every = slice(0, self.K)
+            for s in order:
+                yield s, every, self.rows[s], None if self.full[s] else self.mask[s : s + 1]
+            return
+        for s in order:
             active, rows = slice(max(0, s - self.T + 1), min(self.K, s + 1)), self.rows[s]
             m = None if self.full[s] else self.mask[s - active.stop + 1 : s - active.start + 1, rows][::-1]
             yield s, active, rows, m
@@ -496,8 +523,9 @@ class _Wave:
         return arr[j + shift : j + shift + self.T, j].transpose(1, 0, 2)
 
     def transient(self, role: str, width: int):
-        """An [n, T, width] array that lives within one pass of this run."""
-        return self.workspace.empty(("pass", role), (self.n, self.T, width))
+        """An [n, T, width] array (one per copy) that lives within one pass
+        of this run."""
+        return self.workspace.empty(("pass", role), self.lead + (self.n, self.T, width))
 
     def batch_major(self, role: str, arr, j: int, shift: int = 0):
         """A contiguous [n, T, width] copy of member j's slice: parameter
@@ -516,27 +544,40 @@ class _Wave:
             np.add(emitted, (1.0 - m) * h, out=h_new)
 
     def output_buffer(self, width: int):
-        """The run output [n, T, width]; zeros where a trimmed run skips."""
+        """The run output [n, T, width] (one per copy); zeros where a trimmed
+        run skips."""
         take = self.workspace.zeros if self.trimmed else self.workspace.empty
-        return take((self.key, "out"), (self.n, self.T, width))
+        return take((self.key, "out"), self.lead + (self.n, self.T, width))
 
     def output(self, s: int, active: slice, rows: slice, emitted, out):
-        """Copy the last member's emitted [rows, u] step into the run output."""
+        """Copy the emitted [rows, u] step of the last member (of every copy)
+        into the run output."""
         if active.stop == self.K:
-            out[rows, s - self.K + 1] = emitted[-1, rows]
+            out[..., rows, s - self.delay, :] = emitted[self.emits, rows]
 
 
 class _Inputs:
     """Input projection x W_x^T + b of one kernel row block for every member
-    of a run: member 0's is one whole-sequence product over the run's input,
-    members j >= 1 project per wave step what member j - 1 just emitted."""
+    of a run: member 0's (every copy's) is one whole-sequence product over
+    the run's input, or one product per step for copies of a `stepwise`
+    layer; members j >= 1 project per wave step what member j - 1 just
+    emitted."""
 
     def __init__(self, wave: _Wave, role: str, params: list, rows: slice, x):
         u = params[0].units
-        w = params[0].kernel[rows, u:].T
-        self.first = np.matmul(x, w, out=wave.transient(role, w.shape[1]))
-        self.first += params[0].bias[rows]
-        rest = params[1:]
+        w = np.swapaxes(params[0].kernel[..., rows, u:], -1, -2)
+        b = params[0].bias[..., rows]
+        if wave.stepwise:
+            # [T, copies, n, width]: one [n, d] @ [d, width] product per step
+            # and copy, as a run makes for its members j >= 1
+            steps = np.matmul(np.ascontiguousarray(np.moveaxis(x, -2, 0)), w.reshape((-1,) + w.shape[-2:]))
+            steps += b.reshape(-1, 1, b.shape[-1])
+            self.first = np.moveaxis(steps, 0, -2)
+        else:
+            self.first = np.matmul(x, w, out=wave.transient(role, w.shape[-1]))
+            self.first += b
+        self.feeds = wave.feeds
+        self.rest = rest = params[1:]
         if rest:
             self.w = _stack(rest, rows, slice(u, None)).transpose(0, 2, 1)
             self.b = np.stack([p.bias[rows] for p in rest])[:, None]
@@ -545,9 +586,9 @@ class _Inputs:
     def add_to(self, a, s: int, active: slice, rows: slice, emitted):
         """a[k] += the input projection of member active.start + k at step s."""
         if active.start == 0:
-            a[0] += self.first[rows, s]
+            a[self.feeds] += self.first[..., rows, s, :]
         lo = max(active.start, 1)
-        if lo < active.stop:
+        if self.rest and lo < active.stop:
             prev = slice(lo - 1, active.stop - 1)
             xp = np.matmul(emitted[prev, rows], self.w[prev], out=self.buf[prev, rows])
             xp += self.b[prev]
@@ -753,7 +794,7 @@ def _gru_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
 
 
 def _dense_layer_forward(layer: LayerSpec, params: DenseParams, x, want_cache: bool):
-    a = x @ params.W.T + params.b
+    a = x @ np.swapaxes(params.W, -1, -2) + params.b
     y = activation(layer.activation, a)
     cache = {"x": x, "A": a, "Y": y} if want_cache else None
     return y, cache
@@ -830,6 +871,38 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
             drop_index += 1
         caches.append(cache)
     return x, caches
+
+
+def copies_forward(params: ModelParams, start: int, copies, x, mask, dropout_masks: list):
+    """Train-mode predictions [P, n, T, output_dim] of the model with P copies
+    of layer `start`'s parameters, from that layer on.
+
+    copies: [P, count] in the layer's flat packing; x: the layer's input
+    [n, T, d]; dropout_masks: one kept mask per dropout layer of the model.
+    Every layer from `start` on makes one pass over all copies, a recurrent
+    one as a wave of copies (see _Wave) and a dense one as one stacked
+    product, so copy p's predictions are bitwise those of forward() with its
+    parameters in place.
+    """
+    spec, p = params.spec, copies.shape[0]
+    rows, cols = _kernel_shapes(spec)[start]
+    first = _PARAM_CLASSES[spec.layers[start].kind](copies[:, : rows * cols].reshape(p, 1, rows, cols),
+                                                    copies[:, rows * cols :].reshape(p, 1, 1, rows))
+    run_starts = {i for i, _ in _runs(spec.layers)}
+    drop_index = sum(layer.kind == "dropout" for layer in spec.layers[:start])
+    x = x[None]
+    for i in range(start, len(spec.layers)):
+        layer, layer_params = spec.layers[i], first if i == start else params.layers[i]
+        if layer.kind in _RUN_FORWARD:
+            wave = _Wave(mask, p, False, _THROWAWAY, i, copies=True, stepwise=i not in run_starts)
+            x, _ = _RUN_FORWARD[layer.kind](layer, [layer_params], x, wave)
+        elif layer.kind == "dense":
+            x, _ = _dense_layer_forward(layer, layer_params, x, want_cache=False)
+        else:
+            if layer.rate > 0.0:
+                x = x * (dropout_masks[drop_index] / (1.0 - layer.rate))
+            drop_index += 1
+    return x
 
 
 def backward_through_layers(params: ModelParams, caches, dpred):

@@ -55,7 +55,7 @@ def test_unknown_flag_is_usage_error():
     assert main(["generate", "--bogus", "1"]) == EXIT_USAGE
 
 
-def test_bad_flag_value_is_usage_error(tmp_path):
+def test_bad_flag_value_is_usage_error(tmp_path, capsys):
     assert main(["generate", "--n", "0", "--out", str(tmp_path / "d.jsonl")]) == EXIT_USAGE
     assert main(["generate", "--n", "five", "--out", str(tmp_path / "d.jsonl")]) == EXIT_USAGE
     for noise in ("nan", "inf", "-0.1"):
@@ -66,6 +66,16 @@ def test_bad_flag_value_is_usage_error(tmp_path):
     assert main(["grid", "--data", "d", "--manifest", "m", "--epoch-scale", "inf"]) == EXIT_USAGE
     assert main(["train", "--data", "d", "--manifest", "m", "--max-len=-3"]) == EXIT_USAGE
     assert main(["grid", "--data", "d", "--manifest", "m", "--max-len=0"]) == EXIT_USAGE
+    # A negative seed is refused while the flags are parsed, on every
+    # subcommand and also from a config file, and the message names the flag.
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed=-1\n")
+    for command in ("generate", "split", "train", "grid", "evaluate", "predict", "gradcheck"):
+        for flags in (["--seed=-1"], ["--config", str(config)]):
+            capsys.readouterr()
+            assert main([command, *flags, "--out-dir", str(tmp_path / command)]) == EXIT_USAGE
+            assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not any(path.name != "seed.cfg" for path in tmp_path.iterdir())
 
 
 def test_missing_required_flag_is_usage_error(ws):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pournet import grad, nn
 from pournet.data import PaddedBatch
 from pournet.errors import NumericalError
 from pournet.grad import (
+    FD_STEP,
     FD_TOL,
     backward,
     check_gradients,
-    finite_diff_grad,
     frozen_dropout_masks,
     gradcheck_case,
     numeric_gradient,
@@ -21,6 +22,23 @@ from pournet.grad import (
 )
 from pournet.losses import loss_and_grad
 from pournet.nn import LayerSpec, ModelParams, ModelSpec, Workspace, count_params, forward, reference_model
+
+
+def finite_diff_grad(loss_fn, flat_params, h=FD_STEP):
+    """Central-difference gradient of loss_fn at flat_params, one coordinate
+    at a time: the whole-stack oracle for grad.numeric_gradient."""
+    flat = np.asarray(flat_params, dtype=np.float64)
+    numeric = np.empty_like(flat)
+    probe = flat.copy()
+    for i in range(flat.size):
+        original = probe[i]
+        probe[i] = original + h
+        hi = loss_fn(probe)
+        probe[i] = original - h
+        lo = loss_fn(probe)
+        probe[i] = original
+        numeric[i] = (hi - lo) / (2.0 * h)
+    return numeric
 
 
 def small_batch(rng, n=2, t_len=6, d=3, short=True):
@@ -166,19 +184,34 @@ def test_gradcheck_with_frozen_dropout():
     assert l1 == l2 and np.array_equal(g1, g2)
 
 
-def test_numeric_gradient_by_suffix_equals_whole_stack_differences():
-    # Layer 1 is the second member of a two-member LSTM run, so its suffix
-    # model splits the run; the suffixes from layer 3 on keep only the second
-    # dropout mask. Three rows (trimmed waves), one with a hole.
-    rng = np.random.default_rng(11)
-    rnn = LayerSpec("lstm", units=3, activation="tanh", recurrent_activation="sigmoid")
-    spec = ModelSpec(input_dim=3, layers=[
-        rnn, rnn, LayerSpec("dropout", rate=0.3), LayerSpec("dense", units=2, activation="tanh"),
-        LayerSpec("dropout", rate=0.3), LayerSpec("dense", units=1),
-    ])
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("stack, budget", [("run_first", None), ("dense_first", None), ("run_first", 40)],
+                         ids=["run_first", "dense_first", "run_first_budget40"])
+def test_numeric_gradient_by_suffix_equals_whole_stack_differences(cell, n, stack, budget, monkeypatch):
+    # run_first: layer 1 is the second member of a two-member run, so its
+    # copies project their input per step, as the run does; the layers from 3
+    # on see only the second dropout mask. dense_first differences a dense
+    # layer against the batch itself and ends in a recurrent layer. One row
+    # keeps the per-step products matrix-vector products; three rows (trimmed
+    # waves in the whole stack) have one with a hole. A budget of 40 copies x
+    # rows x steps splits every layer's copies over many passes, odd-sized
+    # ones (n = 1) and single copies (n = 3). Seed 26 is one whose one-row
+    # cases change bytes when a layer's input comes from one-layer models
+    # chained instead of from the whole prefix.
+    rng = np.random.default_rng(26)
+    rnn = LayerSpec(cell, units=3, activation="tanh", recurrent_activation="sigmoid")
+    layers = {
+        "run_first": [rnn, rnn, LayerSpec("dropout", rate=0.3), LayerSpec("dense", units=2, activation="tanh"),
+                      LayerSpec("dropout", rate=0.3), LayerSpec("dense", units=1)],
+        "dense_first": [LayerSpec("dense", units=4, activation="tanh"), rnn, LayerSpec("dropout", rate=0.3),
+                        LayerSpec(cell, units=1, activation="tanh", recurrent_activation="sigmoid")],
+    }[stack]
+    spec = ModelSpec(input_dim=3, layers=layers)
     params = ModelParams.from_flat(spec, rng.normal(0, 0.6, count_params(spec)))
-    batch = small_batch(rng, n=3, t_len=7)
-    batch.mask[1, 2:4] = 0.0
+    batch = small_batch(rng, n=n, t_len=7)
+    if n == 3:
+        batch.mask[1, 2:4] = 0.0
     masks = frozen_dropout_masks(spec, batch, rng)
 
     def loss_at(flat):
@@ -186,8 +219,18 @@ def test_numeric_gradient_by_suffix_equals_whole_stack_differences():
                            mode="train", dropout_masks=masks, want_cache=False)
         return loss_and_grad("euclidean", preds, batch.targets, batch.mask)[0]
 
+    if budget is not None:
+        monkeypatch.setattr(grad, "_PASS_BUDGET", budget)
+    passes = []
+    copies_forward = nn.copies_forward
+    monkeypatch.setattr(nn, "copies_forward",
+                        lambda params, start, copies, *rest: passes.append(len(copies))
+                        or copies_forward(params, start, copies, *rest))
     whole = finite_diff_grad(loss_at, params.flatten())
     assert numeric_gradient(params, batch, "euclidean", masks).tobytes() == whole.tobytes()
+    per_pass = max(1, grad._PASS_BUDGET // (n * 7))
+    probes = [2 * c for c in nn.layer_param_counts(spec) if c]
+    assert passes == [min(per_pass, p - lo) for p in probes for lo in range(0, p, per_pass)]
 
 
 def test_mask_extension_leaves_loss_and_gradient():

@@ -75,8 +75,16 @@ class PourRecord:
         return int(self.theta.shape[0])
 
 
+def _json_numbers(value) -> bool:
+    """Whether a JSON value is a number or a flat list of numbers; numpy would
+    read a boolean as 0 or 1 and a numeric string as its number."""
+    return set(map(type, value if isinstance(value, list) else [value])) <= {int, float}
+
+
 def _series(name: str, values) -> np.ndarray:
     """values as a float64 array; a non-number element names the field."""
+    if isinstance(values, list) and not _json_numbers(values):
+        raise DatasetFormatError(f"{name} must be a list of numbers")
     try:
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -300,12 +308,13 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Normalizer":
-        return cls(
-            feature_offset=doc["feature_offset"],
-            feature_scale=doc["feature_scale"],
-            target_offset=doc["target_offset"],
-            target_scale=doc["target_scale"],
-        )
+        """Statistics as to_dict writes them; a value that is not a JSON number
+        or a list of them raises ValueError."""
+        fields = {name: doc[name] for name in ("feature_offset", "feature_scale", "target_offset", "target_scale")}
+        for name, value in fields.items():
+            if not _json_numbers(value):
+                raise ValueError(f"normalizer {name} must be a number or a list of numbers")
+        return cls(**fields)
 
 
 def fit_normalizer(train_records) -> Normalizer:

@@ -7,7 +7,7 @@ import numpy as np
 from . import nn
 from .data import PaddedBatch
 from .errors import NumericalError
-from .losses import LOSS_KINDS, loss_and_grad
+from .losses import LOSS_KINDS, loss_and_grad, loss_values
 
 FD_STEP = 1e-5
 FD_TOL = 1e-5
@@ -66,24 +66,25 @@ def frozen_dropout_masks(spec, batch, rng: np.random.Generator) -> list:
     return masks
 
 
-def numeric_gradient(params, batch, loss_kind: str, dropout_masks: list, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of the train-mode loss with the given
-    dropout masks, one per dropout layer (flat vector, ModelParams.flatten
-    packing).
+def numeric_gradient(params, batch, dropout_masks: list, h: float = FD_STEP) -> dict:
+    """Central-difference gradients of the train-mode losses with the given
+    dropout masks, one per dropout layer: {kind: flat vector} for every kind
+    in LOSS_KINDS (ModelParams.flatten packing).
 
     Layer i's coordinates are differenced from layer i on, fed the
     unperturbed output of the layers before it, computed once. Its probes are
     parameter copies, 2c holding coordinate c at +h and 2c + 1 at -h, that run
     through the layers from i on together (nn.copies_forward), in passes of
     at most _PASS_BUDGET copies x rows x steps or of one copy on larger
-    batches, and each copy's predictions are scored on their own. Valid steps
-    depend on valid steps alone, and every copy makes the whole stack's
-    products and elementwise operations, so every loss is bitwise the whole
-    stack's loss at the same point.
+    batches. Each pass's predictions are scored once per loss kind, by one
+    reduction over the pass's copies (losses.loss_values). Valid steps depend
+    on valid steps alone, every copy makes the whole stack's products and
+    elementwise operations, and every copy's loss sums in its own order, so
+    every loss is bitwise the whole stack's loss at the same point.
     """
     spec, flat = params.spec, params.flat
     per_pass = max(1, _PASS_BUDGET // batch.mask.size)
-    numeric = np.empty(flat.size)
+    numeric = {kind: np.empty(flat.size) for kind in LOSS_KINDS}
     pos = 0
     for i, count in enumerate(nn.layer_param_counts(spec)):
         if count:
@@ -94,33 +95,36 @@ def numeric_gradient(params, batch, loss_kind: str, dropout_masks: list, h: floa
                                   mode="train", dropout_masks=dropout_masks, want_cache=False)
             base = flat[pos : pos + count]
             probes = np.column_stack([base + h, base - h]).ravel()
-            losses = np.empty(probes.size)
+            losses = {kind: np.empty(probes.size) for kind in LOSS_KINDS}
             for lo in range(0, probes.size, per_pass):
                 hi = min(lo + per_pass, probes.size)
                 copies = np.tile(base, (hi - lo, 1))
                 copies[np.arange(hi - lo), np.arange(lo, hi) // 2] = probes[lo:hi]
                 preds = nn.copies_forward(params, i, copies, x, batch.mask, dropout_masks)
-                losses[lo:hi] = [loss_and_grad(loss_kind, p, batch.targets, batch.mask)[0] for p in preds]
-            numeric[pos : pos + count] = (losses[0::2] - losses[1::2]) / (2.0 * h)
+                for kind, values in losses.items():
+                    values[lo:hi] = loss_values(kind, preds, batch.targets, batch.mask)
+            for kind, values in losses.items():
+                numeric[kind][pos : pos + count] = (values[0::2] - values[1::2]) / (2.0 * h)
         pos += count
     return numeric
 
 
-def check_gradients(params, batch, loss_kind: str, h: float = FD_STEP,
-                    dropout_masks: list | None = None):
+def check_gradients(params, batch, h: float = FD_STEP, dropout_masks: list | None = None) -> dict:
     """Compare backprop against central differences (numeric_gradient) with
-    frozen dropout (masks drawn from seed 0 unless given).
+    frozen dropout (masks drawn from seed 0 unless given), for every loss kind.
 
-    Returns (max_rel_err, worst_coordinate_index).
+    Returns {kind: (max_rel_err, worst_coordinate_index)} in LOSS_KINDS order.
     """
     if dropout_masks is None:
         dropout_masks = frozen_dropout_masks(params.spec, batch, np.random.default_rng(0))
-    _, analytic = backward(params, batch, loss_kind, mode="train",
-                           dropout_masks=dropout_masks)
-    numeric = numeric_gradient(params, batch, loss_kind, dropout_masks, h=h)
-    errors = relative_gradient_errors(analytic, numeric)
-    worst = int(np.argmax(errors))
-    return float(errors[worst]), worst
+    numeric = numeric_gradient(params, batch, dropout_masks, h=h)
+    results = {}
+    for kind in LOSS_KINDS:
+        _, analytic = backward(params, batch, kind, mode="train", dropout_masks=dropout_masks)
+        errors = relative_gradient_errors(analytic, numeric[kind])
+        worst = int(np.argmax(errors))
+        results[kind] = (float(errors[worst]), worst)
+    return results
 
 
 def _kink_margin(params, batch, dropout_masks):

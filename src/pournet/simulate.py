@@ -87,13 +87,14 @@ def ungula_volume(radius: float, height: float, tan_tilt) -> np.ndarray:
     tw = t[wedge]
     phi = 2.0 * np.arcsin(np.sqrt(np.minimum(height / (2.0 * radius * tw), 1.0)))
     half = 0.5 * phi
+    # Every node's term at once ([16, n]), then summed in node order, so every
+    # tilt sees the same sequence of operations whatever the array's length.
+    v = half * (_GL_NODES[:, None] + 1.0)
+    sin_v = np.sin(v)
+    terms = _GL_WEIGHTS[:, None] * sin_v * sin_v * np.sin(0.5 * (phi + v)) * np.sin(0.5 * (phi - v))
     total = np.zeros_like(phi)
-    # One node at a time, so every tilt sees the same sequence of operations
-    # whatever the array's length.
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        v = half * (node + 1.0)
-        sin_v = np.sin(v)
-        total += weight * sin_v * sin_v * np.sin(0.5 * (phi + v)) * np.sin(0.5 * (phi - v))
+    for row in terms:
+        total += row
     out[wedge] = 4.0 * radius ** 3 * tw * half * total
     return out
 
@@ -173,8 +174,15 @@ class TrajectoryConfig:
         """A ranges file's trajectory block: length, ramp_frac, final_tilt and
         jitter_deg, each optional. noise_sigma and seed are not file settings;
         any other key raises ValueError."""
-        converters = {"length": _pair, "ramp_frac": float, "final_tilt": _pair, "jitter_deg": float}
+        converters = {"length": _pair, "ramp_frac": _number, "final_tilt": _pair, "jitter_deg": _number}
         return cls(**_fields(doc, converters, "trajectory"))
+
+
+def _number(value) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _pair(value) -> tuple:
@@ -196,7 +204,7 @@ def _fields(doc, converters: dict, where: str) -> dict:
             raise ValueError(f"unknown {where} key {key!r}")
         try:
             out[key] = converters[key](value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
             raise ValueError(f"{where} key {key!r}: {exc}") from exc
     return out
 

@@ -244,6 +244,18 @@ def _gridspec_with_epochs(epochs):
     _gridspec_with_epochs(2.7),
     _gridspec_with_epochs(True),
     _gridspec_with_epochs("3"),
+    _ranges_file({"trajectory": {"jitter_deg": 10**400}}, "jitter_deg"),
+    _ranges_file({"trajectory": {"ramp_frac": 10**400}}, "ramp_frac"),
+    _ranges_file({"trajectory": {"jitter_deg": True}}, "jitter_deg"),
+    _ranges_file({"trajectory": {"ramp_frac": "0.2"}}, "ramp_frac"),
+    _record_with("theta", True, element=3),
+    _record_with("weight", False, element=0),
+    _record_with("weight", "0.5", element=0),
+    _manifest_with(lambda doc: doc["normalizer"]["feature_offset"].__setitem__(0, True), "feature_offset"),
+    _manifest_with(lambda doc: doc["normalizer"].update(target_scale=True), "target_scale"),
+    _manifest_with(lambda doc: doc["normalizer"]["feature_scale"].__setitem__(2, "1.5"), "feature_scale"),
+    _checkpoint_with(2, lambda norm: norm["feature_scale"].__setitem__(0, True), "feature_scale"),
+    _checkpoint_with(2, lambda norm: norm.update(target_offset=False), "target_offset"),
 ], ids=["checkpoint_layer_key", "record_d_cup_text", "record_d_cup_null", "record_d_cup_bool",
         "record_d_cup_huge_int",
         "trajectory_length_scalar", "trajectory_length_text", "trajectory_length_fraction", "ranges_d_cm_text",
@@ -254,7 +266,10 @@ def _gridspec_with_epochs(epochs):
         "checkpoint_infinite_target_offset", "checkpoint_huge_int_feature_scale",
         "checkpoint_tiny_feature_scale", "spec_units_fraction", "spec_units_overflow",
         "spec_input_dim_fraction", "gridspec_epochs_fraction", "gridspec_epochs_bool",
-        "gridspec_epochs_string"])
+        "gridspec_epochs_string", "trajectory_jitter_huge_int", "trajectory_ramp_huge_int",
+        "trajectory_jitter_bool", "trajectory_ramp_text", "record_theta_bool", "record_weight_bool",
+        "record_weight_numeric_text", "manifest_bool_feature_offset", "manifest_bool_target_scale",
+        "manifest_text_feature_scale", "checkpoint_bool_feature_scale", "checkpoint_bool_target_offset"])
 def test_malformed_input_is_data_error_naming_file_and_field(tmp_path, ws, capsys, make):
     argv, named = make(ws, tmp_path)
     assert main(argv) == EXIT_DATA

@@ -20,7 +20,7 @@ from pournet.grad import (
     numeric_gradient,
     relative_gradient_errors,
 )
-from pournet.losses import loss_and_grad
+from pournet.losses import LOSS_KINDS, loss_and_grad
 from pournet.nn import LayerSpec, ModelParams, ModelSpec, Workspace, count_params, forward, reference_model
 
 
@@ -159,9 +159,10 @@ def test_gradient_fidelity_random_small_models(seed, cell, kind):
 def test_check_gradients_production_activations_pinned_seed():
     # hard_sigmoid gates and relu dense, at a point far from every kink
     for cell in ("lstm", "gru"):
-        for kind in ("mse", "euclidean"):
-            params, batch, masks = gradcheck_case(cell, 0)
-            worst, coord = check_gradients(params, batch, kind, dropout_masks=masks)
+        params, batch, masks = gradcheck_case(cell, 0)
+        results = check_gradients(params, batch, dropout_masks=masks)
+        assert tuple(results) == LOSS_KINDS
+        for kind, (worst, coord) in results.items():
             assert worst < FD_TOL, f"{cell}/{kind} coord {coord}: {worst}"
 
 
@@ -176,7 +177,7 @@ def test_gradcheck_with_frozen_dropout():
     batch = small_batch(rng)
     masks = frozen_dropout_masks(spec, batch, rng)
     assert len(masks) == 1 and masks[0].shape == (2, 6, 4)
-    worst, _ = check_gradients(params, batch, "mse", dropout_masks=masks)
+    worst, _ = check_gradients(params, batch, dropout_masks=masks)["mse"]
     assert worst < FD_TOL
     # the same masks pin the loss: two backward calls agree bitwise
     l1, g1 = backward(params, batch, "mse", mode="train", dropout_masks=masks)
@@ -198,7 +199,8 @@ def test_numeric_gradient_by_suffix_equals_whole_stack_differences(cell, n, stac
     # rows x steps splits every layer's copies over many passes, odd-sized
     # ones (n = 1) and single copies (n = 3). Seed 26 is one whose one-row
     # cases change bytes when a layer's input comes from one-layer models
-    # chained instead of from the whole prefix.
+    # chained instead of from the whole prefix. Both loss kinds are scored
+    # from the same passes, so the pass sizes are those of one kind.
     rng = np.random.default_rng(26)
     rnn = LayerSpec(cell, units=3, activation="tanh", recurrent_activation="sigmoid")
     layers = {
@@ -214,10 +216,12 @@ def test_numeric_gradient_by_suffix_equals_whole_stack_differences(cell, n, stac
         batch.mask[1, 2:4] = 0.0
     masks = frozen_dropout_masks(spec, batch, rng)
 
-    def loss_at(flat):
-        preds, _ = forward(ModelParams.from_flat(spec, flat), batch.features, batch.mask,
-                           mode="train", dropout_masks=masks, want_cache=False)
-        return loss_and_grad("euclidean", preds, batch.targets, batch.mask)[0]
+    def loss_at(kind):
+        def loss(flat):
+            preds, _ = forward(ModelParams.from_flat(spec, flat), batch.features, batch.mask,
+                               mode="train", dropout_masks=masks, want_cache=False)
+            return loss_and_grad(kind, preds, batch.targets, batch.mask)[0]
+        return loss
 
     if budget is not None:
         monkeypatch.setattr(grad, "_PASS_BUDGET", budget)
@@ -226,8 +230,11 @@ def test_numeric_gradient_by_suffix_equals_whole_stack_differences(cell, n, stac
     monkeypatch.setattr(nn, "copies_forward",
                         lambda params, start, copies, *rest: passes.append(len(copies))
                         or copies_forward(params, start, copies, *rest))
-    whole = finite_diff_grad(loss_at, params.flatten())
-    assert numeric_gradient(params, batch, "euclidean", masks).tobytes() == whole.tobytes()
+    numeric = numeric_gradient(params, batch, masks)
+    assert tuple(numeric) == LOSS_KINDS
+    for kind in LOSS_KINDS:
+        whole = finite_diff_grad(loss_at(kind), params.flatten())
+        assert numeric[kind].tobytes() == whole.tobytes(), kind
     per_pass = max(1, grad._PASS_BUDGET // (n * 7))
     probes = [2 * c for c in nn.layer_param_counts(spec) if c]
     assert passes == [min(per_pass, p - lo) for p in probes for lo in range(0, p, per_pass)]

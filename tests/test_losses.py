@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pournet.losses import loss_and_grad, loss_value, per_sequence_metric
+from pournet.losses import LOSS_KINDS, loss_and_grad, loss_value, loss_values, per_sequence_metric
 
 
 def test_mse_frozen_example():
@@ -123,3 +123,44 @@ def test_mse_gradient_linearity_in_residual():
     assert np.allclose(g_neg, -g_pos, rtol=1e-12, atol=1e-15)
     _, g_zero = loss_and_grad("mse", target, target, mask)
     assert np.all(g_zero == 0.0)
+
+
+def _spelled_out_loss(kind, pred, target, mask) -> float:
+    """Each loss written out on one prediction set: mse sums the n x T squared
+    residuals as one flat array, euclidean sums over T and then takes the mean
+    over n."""
+    r = (pred.reshape(mask.shape) - target.reshape(mask.shape)) * mask
+    if kind == "mse":
+        return float((r * r).sum() / mask.sum())
+    return float(np.sqrt((r * r).sum(axis=1)).mean())
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 33])
+def test_stacked_losses_equal_each_copy_alone_bitwise(kind, n):
+    rng = np.random.default_rng(n)
+    copies, t_len = 6, 9
+    preds = rng.normal(0, 1, size=(copies, n, t_len, 1))
+    target = rng.normal(0, 1, size=(n, t_len, 1))
+    mask = np.ones((n, t_len))
+    mask[-1, 3:6] = 0.0  # an interior hole
+    mask[0, 7:] = 0.0
+    preds[:, -1, 4, 0] = 1e300  # garbage under the hole
+    preds[2, 0, 1, 0] = np.nan  # one copy's valid prediction is not finite
+    values = loss_values(kind, preds, target, mask)
+    assert values.shape == (copies,)
+    for k in range(copies):
+        alone = loss_value(kind, preds[k], target, mask)
+        assert values[k].tobytes() == np.float64(alone).tobytes()
+        assert values[k].tobytes() == np.float64(_spelled_out_loss(kind, preds[k], target, mask)).tobytes()
+    assert np.isnan(values[2])
+    assert np.isfinite(np.delete(values, 2)).all()
+    assert loss_values(kind, preds[3:4], target, mask).tobytes() == values[3:4].tobytes()
+
+
+@pytest.mark.parametrize("kind, empty", [("mse", slice(None)), ("euclidean", 1)])
+def test_stacked_losses_reject_an_empty_mask(kind, empty):
+    mask = np.ones((2, 3))
+    mask[empty] = 0.0  # mse needs one valid step in all; euclidean one in every sequence
+    with pytest.raises(ValueError):
+        loss_values(kind, np.ones((4, 2, 3, 1)), np.zeros((2, 3, 1)), mask)

@@ -341,7 +341,7 @@ def check_against_cell_steps(spec, seed):
             got, _ = forward(params, batch.features, batch.mask, want_cache=cached)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
         if grad_checked:
-            worst, coord = check_gradients(params, batch, "mse")
+            worst, coord = check_gradients(params, batch)["mse"]
             assert worst < FD_TOL, f"n={n} coord {coord}: {worst}"
 
 

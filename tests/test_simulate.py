@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pournet
+from pournet import simulate
 from pournet.simulate import (
     CupGeometry,
     SimRanges,
@@ -127,6 +128,28 @@ def test_array_call_equals_scalar_calls_bitwise():
         scalars = [retained_volume(g, float(t)) for t in tilts]
         assert all(isinstance(v, float) for v in scalars)
         assert retained_volume(g, tilts).tobytes() == np.array(scalars).tobytes()
+
+
+def _ungula_node_by_node(radius, height, tw):
+    """The wedge-regime quadrature with one Gauss-Legendre node at a time: the
+    loop that ungula_volume's [16, n] broadcast must reproduce bit for bit."""
+    phi = 2.0 * np.arcsin(np.sqrt(np.minimum(height / (2.0 * radius * tw), 1.0)))
+    half = 0.5 * phi
+    total = np.zeros_like(phi)
+    for node, weight in zip(*np.polynomial.legendre.leggauss(16)):
+        v = half * (node + 1.0)
+        sin_v = np.sin(v)
+        total += weight * sin_v * sin_v * np.sin(0.5 * (phi + v)) * np.sin(0.5 * (phi - v))
+    return 4.0 * radius ** 3 * tw * half * total
+
+
+def test_ungula_volume_equals_node_by_node_quadrature_bitwise():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        radius, height = rng.uniform(5.0, 80.0), rng.uniform(10.0, 160.0)
+        tw = height / (2.0 * radius) * np.concatenate([1.0 + rng.exponential(3.0, 301), [1.0 + 1e-15, 1e15]])
+        got = simulate.ungula_volume(radius, height, tw)
+        assert got.tobytes() == _ungula_node_by_node(radius, height, tw).tobytes()
 
 
 @given(tilt_a=st.floats(0.0, 90.0), tilt_b=st.floats(0.0, 90.0))

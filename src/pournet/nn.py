@@ -354,8 +354,10 @@ class Workspace:
 
 
 class _Throwaway(Workspace):
-    """The workspace of a call that is given none: it keeps nothing, so
-    every request is a new array, freed as soon as it is unreferenced."""
+    """The workspace of a call that is given none: every request is a new
+    array, freed once unreferenced. A fresh Workspace per call gives the same
+    bytes but holds every run's output until the call returns: 84 -> 91 MB
+    peak RSS for a reference_model() model_forward of 96 80-1,099-step pours."""
 
     def empty(self, role, shape):
         return np.empty(shape)
@@ -393,12 +395,10 @@ def _stack(params: list, rows: slice, cols: slice):
     return np.stack([p.kernel[rows, cols] for p in params])
 
 
-def _longest_first(mask):
-    """(order, last): each row's last step with a nonzero mask value (-1 for
-    a row with none), and the row order by it, stable and descending."""
+def _last_valid(mask):
+    """Each row's last step with a nonzero mask value (-1 for a row with none)."""
     live = mask != 0.0
-    last = np.where(live.any(axis=1), mask.shape[1] - 1 - live[:, ::-1].argmax(axis=1), -1)
-    return np.argsort(-last, kind="stable"), last
+    return np.where(live.any(axis=1), mask.shape[1] - 1 - live[:, ::-1].argmax(axis=1), -1)
 
 
 class _Wave:
@@ -414,13 +414,14 @@ class _Wave:
     caching they keep one slot (two for states) and are indexed modulo their
     length, so only rolling per-step buffers are allocated.
 
-    An uncached run of more than two rows steps only the rows it needs. It
-    sorts its rows by last valid step, longest first (`sort_rows`), steps at
-    s only the prefix of rows that are valid at some active member's t or
-    later, never fewer than two, ends after the last valid step, and puts
-    its output back in the caller's row order (`restore_rows`). Skipped rows
-    emit zeros, as masked steps do. A cached run steps every row at every
-    step, so the parameter gradients reduce over every (n, T) position.
+    An uncached run of more than two rows whose rows arrive longest first
+    (last valid step non-increasing, as model_forward orders them) steps only
+    the rows it needs: at s the prefix of rows that are valid at some active
+    member's t or later, never fewer than two, and it ends after the last
+    valid step. Skipped rows emit zeros, as masked steps do. Any other run
+    steps every row at every step, which gives the same values at valid
+    steps, and a cached run's parameter gradients reduce over every (n, T)
+    position.
 
     Every product keeps the operands and association of running the members
     one after another, and parameter gradients reduce over batch-major
@@ -449,71 +450,53 @@ class _Wave:
     def __init__(self, mask, members: int, cached: bool, workspace: Workspace, key: int,
                  copies: bool = False, stepwise: bool = False):
         n, T = self.n, self.T = mask.shape
-        self.K, self.copies, self.stepwise = members, copies, stepwise
+        self.K, self.stepwise, self.cached, self.workspace, self.key = members, stepwise, cached, workspace, key
         # wave steps from a step's input to the run output it becomes
         self.delay = 0 if copies else members - 1
-        self.S = T + self.delay
-        self.cached = cached
-        self.workspace, self.key = workspace, key
+        S = T + self.delay
         # the members that project the run input and that emit the run
         # output (an index drops the member axis), and the leading axes of
         # per-sequence arrays
         self.feeds, self.emits, self.lead = (slice(None), slice(None), (members,)) if copies else (0, -1, ())
-        self.order = None
-        self.trimmed = not (cached or copies) and n > 2
+        last = None if cached or copies or n <= 2 else _last_valid(mask)
+        self.trimmed = last is not None and bool((last[1:] <= last[:-1]).all())
         if self.trimmed:
-            order, last = _longest_first(mask)
-            if (order != np.arange(n)).any():
-                self.order, mask = order, mask[order]
-            self.S = int(last.max()) + members
+            S = int(last.max()) + members
             # later[t]: the rows valid at t or after (at least two); step s
             # steps those of its earliest active t = s - K + 1
             later = np.maximum(2, (last[:, None] >= np.arange(T)).sum(axis=0))
-            counts = later[np.maximum(0, np.arange(self.S) - members + 1)]
-            self.rows = [slice(None, c) for c in counts.tolist()]
+            counts = later[np.maximum(0, np.arange(S) - members + 1)]
+            rows = [slice(None, c) for c in counts.tolist()]
             # reach[s]: the first row that some member active at s sees masked
             blend = mask != 1.0
             first = np.where(blend.any(axis=0), blend.argmax(axis=0), n)
             reach = np.full(T + members - 1, n)
             for j in range(members):
                 np.minimum(reach[j : j + T], first, out=reach[j : j + T])
-            masked = reach[: self.S] < counts
+            masked = reach[:S] < counts
         else:
-            self.rows = [slice(None)] * self.S
+            rows = [slice(None)] * S
             masked = (mask != 1.0).any(axis=0)
             if self.delay:
                 masked = np.convolve(masked, np.ones(members))
-        self.mask = mask.T[:, :, None]  # [T, n, 1]
-        # full[s]: every stepped row of every member active at s is valid, so
-        # the masked blend of step s is the identity and is skipped.
-        self.full = masked == 0
+        mask = mask.T[:, :, None]  # [T, n, 1]
+        # (s, active members, stepped rows, their [k, rows, 1] mask or None
+        # when every stepped row of every active member is valid, so the masked
+        # blend is skipped) per wave step; copies share one [1, n, 1] mask.
+        every = slice(0, members)
+        self.schedule = []
+        for s, r, any_masked in zip(range(S), rows, masked.tolist()):
+            active = every if copies or members - 1 <= s < T else slice(max(0, s - T + 1), min(members, s + 1))
+            t = slice(s, s + 1) if copies else slice(s - active.stop + 1, s - active.start + 1)
+            self.schedule.append((s, active, r, mask[t, r][::-1] if any_masked else None))
 
     def steps(self, reverse: bool = False):
-        """Yield (s, active members as a slice, the stepped rows as a slice,
-        their [k, rows, 1] mask or None when every stepped row is valid;
-        copies share one [1, n, 1] mask)."""
-        order = range(self.S - 1, -1, -1) if reverse else range(self.S)
-        if self.copies:
-            every = slice(0, self.K)
-            for s in order:
-                yield s, every, self.rows[s], None if self.full[s] else self.mask[s : s + 1]
-            return
-        for s in order:
-            active, rows = slice(max(0, s - self.T + 1), min(self.K, s + 1)), self.rows[s]
-            m = None if self.full[s] else self.mask[s - active.stop + 1 : s - active.start + 1, rows][::-1]
-            yield s, active, rows, m
-
-    def sort_rows(self, x):
-        """The run input in the run's row order."""
-        return x if self.order is None else x[self.order]
-
-    def restore_rows(self, out):
-        """The run output in the caller's row order."""
-        return out if self.order is None else out[np.argsort(self.order)]
+        """The schedule, in wave-step order or reversed."""
+        return reversed(self.schedule) if reverse else self.schedule
 
     def buffer(self, role: str, width: int, state: bool = False):
         """A wave array; states start at zero."""
-        slots = (self.S if self.cached else 1) + state
+        slots = (len(self.schedule) if self.cached else 1) + state
         take = self.workspace.zeros if state else self.workspace.empty
         return take((self.key, role), (slots, self.K, self.n, width))
 
@@ -609,6 +592,29 @@ def _pass_down(s: int, active: slice, d_out, blocks):
             dx += da[s, mem] @ w[prev]
 
 
+def _param_grads(params: list, run, grads: list, blocks):
+    """Write each member's parameter gradient into `grads` and return the
+    gradient of the run's input. `blocks` names, per kernel row block, the
+    run arrays of its preactivation gradients and of the states its state
+    columns multiply. Every reduction is over a batch-major copy, in (n, T)
+    order. The input copy is made once the state products are done, which
+    keeps one [n, T, u] copy fewer alive at the peak."""
+    wave, u, dx = run["wave"], params[0].units, None
+    for j, grad in enumerate(grads):
+        flats = [wave.batch_major(d, run[d], j).reshape(-1, run[d].shape[3]) for _, d, _ in blocks]
+        for (rows, _, state), flat in zip(blocks, flats):
+            grad.kernel[rows, :u] = flat.T @ wave.batch_major(state, run[state], j).reshape(-1, u)
+        xj = run["x"] if j == 0 else wave.batch_major("Y", run["Y"], j - 1, shift=1)
+        for (rows, _, _), flat in zip(blocks, flats):
+            grad.kernel[rows, u:] = flat.T @ xj.reshape(-1, xj.shape[2])
+            grad.bias[rows] = flat.sum(axis=0)
+            if j == 0:
+                term = flat.reshape(wave.n, wave.T, -1) @ params[0].kernel[rows, u:]
+                dx = term if dx is None else dx + term
+        del flats, flat, xj  # free this member's copies before the next member's
+    return dx
+
+
 def _lstm_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
     """A run of LSTM layers (one LstmParams each) over x [n, T, d], on the
     schedule of `wave`; returns the last member's output [n, T, u] and one
@@ -616,7 +622,7 @@ def _lstm_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
     u = params[0].units
     rec, act = _ACTIVATIONS[layer.recurrent_activation][0], _ACTIVATIONS[layer.activation][0]
     wh = _stack(params, slice(None), slice(None, u)).transpose(0, 2, 1)  # [K, u, 4u]
-    inputs = _Inputs(wave, "A", params, slice(None), wave.sort_rows(x))
+    inputs = _Inputs(wave, "A", params, slice(None), x)
     A, G = wave.buffer("A", 4 * u), wave.buffer("G", 4 * u)
     CN, TC = wave.buffer("CN", u), wave.buffer("TC", u)
     H, C, Y = wave.buffer("H", u, True), wave.buffer("C", u, True), wave.buffer("Y", u, True)
@@ -639,7 +645,7 @@ def _lstm_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
         wave.carry(m, h_new, h, Y[nxt, active, rows])
         wave.output(s, active, rows, Y[nxt], out)
     if not wave.cached:
-        return wave.restore_rows(out), [None] * wave.K
+        return out, [None] * wave.K
     run = {"wave": wave, "x": x, "A": A, "G": G, "CN": CN, "TC": TC, "H": H, "C": C, "Y": Y}
     return out, [{"A": wave.member(A, j), "G": wave.member(G, j), "Hp": wave.member(H, j),
                   "Cp": wave.member(C, j), "Cn": wave.member(CN, j), "TC": wave.member(TC, j),
@@ -649,8 +655,8 @@ def _lstm_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
 def _lstm_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
     """The reverse wavefront: writes each member's gradient into `grads` and
     returns the gradient of the run's input."""
-    wave, x = run["wave"], run["x"]
-    A, G, CN, TC, H, C = (run[k] for k in ("A", "G", "CN", "TC", "H", "C"))
+    wave = run["wave"]
+    A, G, CN, TC, C = (run[k] for k in ("A", "G", "CN", "TC", "C"))
     K, n, u = wave.K, wave.n, params[0].units
     d_rec, d_act = _ACTIVATIONS[layer.recurrent_activation][1], _ACTIVATIONS[layer.activation][1]
     wh = _stack(params, slice(None), slice(None, u))  # [K, 4u, u]
@@ -684,17 +690,7 @@ def _lstm_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
             dh[active] = keep * dh[active] + da @ wh[active]
             dc[active] = keep * dc[active] + dcn * g[..., u : 2 * u]
         _pass_down(s, active, d_out, blocks)
-    for j, grad in enumerate(grads):
-        da = wave.batch_major("A", A, j)
-        flat = da.reshape(-1, 4 * u)
-        grad.kernel[:, :u] = flat.T @ wave.batch_major("H", H, j).reshape(-1, u)
-        xj = x if j == 0 else wave.batch_major("Y", run["Y"], j - 1, shift=1)
-        grad.kernel[:, u:] = flat.T @ xj.reshape(-1, xj.shape[2])
-        grad.bias[:] = flat.sum(axis=0)
-        if j == 0:
-            dx = da @ params[0].kernel[:, u:]
-        del da, flat, xj  # free this member's copies before the next member's
-    return dx
+    return _param_grads(params, run, grads, [(slice(None), "A", "H")])
 
 
 def _gru_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
@@ -704,8 +700,7 @@ def _gru_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
     rec, act = _ACTIVATIONS[layer.recurrent_activation][0], _ACTIVATIONS[layer.activation][0]
     wh_zr = _stack(params, zr, slice(None, u)).transpose(0, 2, 1)  # [K, u, 2u]
     wh_c = _stack(params, cand_rows, slice(None, u)).transpose(0, 2, 1)  # [K, u, u]
-    x_run = wave.sort_rows(x)
-    inputs_zr, inputs_c = _Inputs(wave, "AZR", params, zr, x_run), _Inputs(wave, "AC", params, cand_rows, x_run)
+    inputs_zr, inputs_c = _Inputs(wave, "AZR", params, zr, x), _Inputs(wave, "AC", params, cand_rows, x)
     AZR, GZR = wave.buffer("AZR", 2 * u), wave.buffer("GZR", 2 * u)
     AC, CAND, RH = wave.buffer("AC", u), wave.buffer("CAND", u), wave.buffer("RH", u)
     H, Y = wave.buffer("H", u, True), wave.buffer("Y", u, True)
@@ -728,7 +723,7 @@ def _gru_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
         wave.carry(m, h_new, h, Y[nxt, active, rows])
         wave.output(s, active, rows, Y[nxt], out)
     if not wave.cached:
-        return wave.restore_rows(out), [None] * wave.K
+        return out, [None] * wave.K
     run = {"wave": wave, "x": x, "AZR": AZR, "GZR": GZR, "AC": AC, "CAND": CAND, "RH": RH, "H": H, "Y": Y}
     return out, [{"Azr": wave.member(AZR, j), "Gzr": wave.member(GZR, j), "Ac": wave.member(AC, j),
                   "Cand": wave.member(CAND, j), "Hp": wave.member(H, j), "RH": wave.member(RH, j),
@@ -737,8 +732,8 @@ def _gru_run_forward(layer: LayerSpec, params: list, x, wave: _Wave):
 
 def _gru_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
     """The reverse wavefront of a GRU run; see _lstm_run_backward."""
-    wave, x = run["wave"], run["x"]
-    AZR, GZR, AC, CAND, RH, H = (run[k] for k in ("AZR", "GZR", "AC", "CAND", "RH", "H"))
+    wave = run["wave"]
+    AZR, GZR, AC, CAND, H = (run[k] for k in ("AZR", "GZR", "AC", "CAND", "H"))
     K, n, u = wave.K, wave.n, params[0].units
     zr, cand_rows = slice(None, 2 * u), slice(2 * u, None)
     d_rec, d_act = _ACTIVATIONS[layer.recurrent_activation][1], _ACTIVATIONS[layer.activation][1]
@@ -776,21 +771,7 @@ def _gru_run_backward(layer: LayerSpec, params: list, run, dout, grads: list):
         np.matmul(d_zr, wh_zr[active], out=dh[active])
         dh[active] += dhp
         _pass_down(s, active, d_out, blocks)
-    for j, grad in enumerate(grads):
-        d_zr, d_c = wave.batch_major("AZR", AZR, j), wave.batch_major("AC", AC, j)
-        flat_zr, flat_c = d_zr.reshape(-1, 2 * u), d_c.reshape(-1, u)
-        grad.kernel[zr, :u] = flat_zr.T @ wave.batch_major("H", H, j).reshape(-1, u)
-        grad.W_h[:, :u] = flat_c.T @ wave.batch_major("RH", RH, j).reshape(-1, u)
-        xj = x if j == 0 else wave.batch_major("Y", run["Y"], j - 1, shift=1)
-        x_flat = xj.reshape(-1, xj.shape[2])
-        grad.kernel[zr, u:] = flat_zr.T @ x_flat
-        grad.W_h[:, u:] = flat_c.T @ x_flat
-        grad.bias[zr] = flat_zr.sum(axis=0)
-        grad.b_h[:] = flat_c.sum(axis=0)
-        if j == 0:
-            dx = d_zr @ params[0].kernel[zr, u:] + d_c @ params[0].W_h[:, u:]
-        del d_zr, d_c, flat_zr, flat_c, xj, x_flat  # free this member's copies before the next member's
-    return dx
+    return _param_grads(params, run, grads, [(zr, "AZR", "H"), (cand_rows, "AC", "RH")])
 
 
 def _dense_layer_forward(layer: LayerSpec, params: DenseParams, x, want_cache: bool):
@@ -839,19 +820,50 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
     spec = params.spec
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 3 or features.shape[2] != spec.input_dim:
-        raise ValueError(
-            f"features must be [n, T, {spec.input_dim}], got {features.shape}"
-        )
+        raise ValueError(f"features must be [n, T, {spec.input_dim}], got {features.shape}")
     mask = np.asarray(mask, dtype=np.float64)
     workspace = _THROWAWAY if workspace is None else workspace
-    x = features
+    return _walk(spec, params.layers, _runs(spec.layers), features, mask, mode, rng, dropout_masks,
+                 want_cache, workspace)
+
+
+def copies_forward(params: ModelParams, start: int, copies, x, mask, dropout_masks: list):
+    """Train-mode predictions [P, n, T, output_dim] of the model with P copies
+    of layer `start`'s parameters, from that layer on.
+
+    copies: [P, count] in the layer's flat packing; x: the layer's input
+    [n, T, d]; dropout_masks: one kept mask per dropout layer of the model.
+    Every layer from `start` on makes one pass over all copies, a recurrent
+    one as a wave of copies (see _Wave) and a dense one as one stacked
+    product, so copy p's predictions are bitwise those of forward() with its
+    parameters in place.
+    """
+    spec, p = params.spec, copies.shape[0]
+    rows, cols = _kernel_shapes(spec)[start]
+    layers = list(params.layers)
+    layers[start] = _PARAM_CLASSES[spec.layers[start].kind](copies[:, : rows * cols].reshape(p, 1, rows, cols),
+                                                            copies[:, rows * cols :].reshape(p, 1, 1, rows))
+    groups = [(i, i + 1) for i in range(start, len(spec.layers))]
+    return _walk(spec, layers, groups, x[None], mask, "train", None, dropout_masks, False, _THROWAWAY, p)[0]
+
+
+def _walk(spec: ModelSpec, layers: list, groups, x, mask, mode, rng, dropout_masks, want_cache, workspace,
+          copies: int = 0):
+    """Run x through the layer groups [start, stop), in order, with layer i's
+    parameters `layers[i]`; returns (output, one cache entry per layer). A
+    recurrent group runs as one wave, a dense or dropout group is one layer.
+    With `copies` = P > 0 every recurrent group is one layer that runs as a
+    wave of P copies, projecting its input per step unless it starts a run
+    of the whole model (see _Wave)."""
+    run_starts = {i for i, _ in _runs(spec.layers)}
+    drop_index = sum(layer.kind == "dropout" for layer in spec.layers[: groups[0][0]])
     caches = []
-    drop_index = 0
-    for start, stop in _runs(spec.layers):
-        layer, p = spec.layers[start], params.layers[start]
+    for start, stop in groups:
+        layer, p = spec.layers[start], layers[start]
         if layer.kind in _RUN_FORWARD:
-            wave = _Wave(mask, stop - start, want_cache, workspace, start)
-            x, run_caches = _RUN_FORWARD[layer.kind](layer, params.layers[start:stop], x, wave)
+            wave = _Wave(mask, copies or stop - start, want_cache, workspace, start,
+                         copies=copies > 0, stepwise=start not in run_starts)
+            x, run_caches = _RUN_FORWARD[layer.kind](layer, layers[start:stop], x, wave)
             caches.extend(run_caches)
             continue
         if layer.kind == "dense":
@@ -871,38 +883,6 @@ def forward(params: ModelParams, features, mask, mode: str = "eval",
             drop_index += 1
         caches.append(cache)
     return x, caches
-
-
-def copies_forward(params: ModelParams, start: int, copies, x, mask, dropout_masks: list):
-    """Train-mode predictions [P, n, T, output_dim] of the model with P copies
-    of layer `start`'s parameters, from that layer on.
-
-    copies: [P, count] in the layer's flat packing; x: the layer's input
-    [n, T, d]; dropout_masks: one kept mask per dropout layer of the model.
-    Every layer from `start` on makes one pass over all copies, a recurrent
-    one as a wave of copies (see _Wave) and a dense one as one stacked
-    product, so copy p's predictions are bitwise those of forward() with its
-    parameters in place.
-    """
-    spec, p = params.spec, copies.shape[0]
-    rows, cols = _kernel_shapes(spec)[start]
-    first = _PARAM_CLASSES[spec.layers[start].kind](copies[:, : rows * cols].reshape(p, 1, rows, cols),
-                                                    copies[:, rows * cols :].reshape(p, 1, 1, rows))
-    run_starts = {i for i, _ in _runs(spec.layers)}
-    drop_index = sum(layer.kind == "dropout" for layer in spec.layers[:start])
-    x = x[None]
-    for i in range(start, len(spec.layers)):
-        layer, layer_params = spec.layers[i], first if i == start else params.layers[i]
-        if layer.kind in _RUN_FORWARD:
-            wave = _Wave(mask, p, False, _THROWAWAY, i, copies=True, stepwise=i not in run_starts)
-            x, _ = _RUN_FORWARD[layer.kind](layer, [layer_params], x, wave)
-        elif layer.kind == "dense":
-            x, _ = _dense_layer_forward(layer, layer_params, x, want_cache=False)
-        else:
-            if layer.rate > 0.0:
-                x = x * (dropout_masks[drop_index] / (1.0 - layer.rate))
-            drop_index += 1
-    return x
 
 
 def backward_through_layers(params: ModelParams, caches, dpred):
@@ -941,7 +921,7 @@ def model_forward(params: ModelParams, batch, mode: str = "eval") -> np.ndarray:
     n = batch.features.shape[0]
     chunks = max(1, -(-n // _CHUNK_ROWS))
     edges = [n * i // chunks for i in range(chunks + 1)]
-    order, _ = _longest_first(batch.mask)
+    order = np.argsort(-_last_valid(batch.mask), kind="stable")
     preds = np.empty(batch.mask.shape + (params.spec.widths()[-1],))
     for lo, hi in zip(edges, edges[1:]):
         rows = order[lo:hi]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import PourRecord
+from .data import PourRecord, _finite
 
 RHO_WATER = 1000.0  # kg/m^3
 GRAVITY = 9.80665  # m/s^2
@@ -142,7 +142,7 @@ class TrajectoryConfig:
     length: inclusive range of sequence lengths (steps).
     ramp_frac: share of steps spent tilting fast, in (0, 0.3].
     final_tilt: range of the hold tilt in degrees, inside (0, 90).
-    jitter_deg: zero-mean wobble amplitude during the hold phase.
+    jitter_deg: zero-mean wobble amplitude during the hold phase, in [0, 90].
     noise_sigma: Gaussian sensor noise on the weight series, lbf.
     """
 
@@ -157,15 +157,15 @@ class TrajectoryConfig:
         lo, hi = self.length
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in (lo, hi)):
             raise ValueError(f"length bounds must be integers (got {self.length!r})")
-        if not (1 <= lo <= hi):
-            raise ValueError(f"length range must satisfy 1 <= lo <= hi (got {self.length!r})")
+        if not (1 <= lo <= hi < 2**63):  # rng.integers(lo, hi + 1) takes highs up to 2**63
+            raise ValueError(f"length range must satisfy 1 <= lo <= hi < 2**63 (got {self.length!r})")
         if not (0.0 < self.ramp_frac <= 0.3):
             raise ValueError(f"ramp_frac must lie in (0, 0.3] (got {self.ramp_frac!r})")
         t_lo, t_hi = self.final_tilt
         if not (0.0 < t_lo <= t_hi < 90.0):
             raise ValueError(f"final_tilt range must lie inside (0, 90) (got {self.final_tilt!r})")
-        if self.jitter_deg < 0:
-            raise ValueError("jitter_deg must be >= 0")
+        if not (0.0 <= self.jitter_deg <= 90.0):  # NaN fails too; a huge j overflows uniform(-j, j)
+            raise ValueError(f"jitter_deg must lie in [0, 90] (got {self.jitter_deg!r})")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0 (got {self.noise_sigma!r})")
 
@@ -231,7 +231,7 @@ class SimRanges:
     def __post_init__(self):
         for name in _RANGE_FIELDS:
             lo, hi = getattr(self, name)
-            if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
+            if not (_finite(lo) and _finite(hi) and 0 < lo <= hi):
                 raise ValueError(f"{name} range must satisfy 0 < lo <= hi (got {(lo, hi)!r})")
         if self.fill_frac[1] > 1.0:
             raise ValueError("fill_frac must stay <= 1")

@@ -256,6 +256,9 @@ def _gridspec_with_epochs(epochs):
     _manifest_with(lambda doc: doc["normalizer"]["feature_scale"].__setitem__(2, "1.5"), "feature_scale"),
     _checkpoint_with(2, lambda norm: norm["feature_scale"].__setitem__(0, True), "feature_scale"),
     _checkpoint_with(2, lambda norm: norm.update(target_offset=False), "target_offset"),
+    _ranges_file({"d_cm": [1, 10**400]}, "d_cm range"),
+    _ranges_file({"trajectory": {"length": [80, 10**30]}}, "length range"),
+    _ranges_file({"trajectory": {"jitter_deg": 1e308}}, "jitter_deg"),
 ], ids=["checkpoint_layer_key", "record_d_cup_text", "record_d_cup_null", "record_d_cup_bool",
         "record_d_cup_huge_int",
         "trajectory_length_scalar", "trajectory_length_text", "trajectory_length_fraction", "ranges_d_cm_text",
@@ -269,7 +272,8 @@ def _gridspec_with_epochs(epochs):
         "gridspec_epochs_string", "trajectory_jitter_huge_int", "trajectory_ramp_huge_int",
         "trajectory_jitter_bool", "trajectory_ramp_text", "record_theta_bool", "record_weight_bool",
         "record_weight_numeric_text", "manifest_bool_feature_offset", "manifest_bool_target_scale",
-        "manifest_text_feature_scale", "checkpoint_bool_feature_scale", "checkpoint_bool_target_offset"])
+        "manifest_text_feature_scale", "checkpoint_bool_feature_scale", "checkpoint_bool_target_offset",
+        "ranges_d_cm_huge_int", "trajectory_length_huge_int", "trajectory_jitter_huge_float"])
 def test_malformed_input_is_data_error_naming_file_and_field(tmp_path, ws, capsys, make):
     argv, named = make(ws, tmp_path)
     assert main(argv) == EXIT_DATA
@@ -346,6 +350,51 @@ def test_mutated_checkpoint_ends_at_an_exit_code(ws, data):
                     contextlib.redirect_stderr(io.StringIO()):
                 warnings.simplefilter("error")
                 assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+
+
+_VALID_RANGES = {"d_cm": [60.0, 110.0], "h_cm": [80, 150], "d_cup": [60.0, 115.0], "h_cup": [80.0, 150.0],
+                 "rho_rel": [0.8, 1.2], "fill_frac": [0.5, 0.95],
+                 "trajectory": {"length": [8, 14], "ramp_frac": 0.25, "final_tilt": [55.0, 85.0], "jitter_deg": 0.5}}
+# Every value that can stand in a valid length is an integer of at most 5,000.
+_HOSTILE_RANGE_VALUE = _HOSTILE_JSON | st.sampled_from([10**30, 2**63, 5000, [3, 2], [1, 10**400], [80, 10**30]])
+
+
+@st.composite
+def _mutated_ranges(draw):
+    """A valid ranges document with one field dropped, one list entry
+    duplicated or one value retyped, and whether the new value is a boolean."""
+    doc = json.loads(json.dumps(_VALID_RANGES))
+    kind = draw(st.sampled_from(["drop", "duplicate", "retype"]))
+    *parents, last = draw(st.sampled_from([p for p in _json_paths(doc) if kind != "duplicate"
+                                           or isinstance(p[-1], int)]))
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    value = None
+    if kind == "drop":
+        del parent[last]
+    elif kind == "duplicate":
+        parent.insert(last, parent[last])
+    else:
+        value = parent[last] = draw(_HOSTILE_RANGE_VALUE)
+    return doc, isinstance(value, bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated=_mutated_ranges())
+def test_mutated_ranges_file_ends_at_an_exit_code(mutated):
+    # generate on a damaged ranges file exits 0-3 and lets nothing escape,
+    # numpy's warnings included; a boolean anywhere is a data error
+    doc, boolean = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ranges.json"
+        path.write_text(json.dumps(doc))
+        argv = ["generate", "--n", "2", "--ranges", str(path), "--out", str(Path(tmp) / "d.jsonl")]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code == EXIT_DATA if boolean else code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, ws):

@@ -16,6 +16,7 @@ from pournet.nn import (
     ModelParams,
     ModelSpec,
     Workspace,
+    _last_valid,
     _runs,
     _Wave,
     activation,
@@ -591,10 +592,12 @@ def shuffled_mask(rng, n, t_len):
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
 @pytest.mark.parametrize("members", [1, 4])
 def test_trimmed_waves_give_the_bytes_of_cached_ones(cell, members):
-    # Uncached runs of more than two rows step only the rows still running;
-    # cached runs step every row. Predictions come out of a dense layer: a
-    # skipped row emits +0.0 where a stepped masked row emits m * h, which is
-    # -0.0 for a negative h, and the dense layer's bias maps both to one value.
+    # Uncached runs of more than two rows sorted longest first step only the
+    # rows still running; shuffled and cached runs step every row. Every case
+    # runs with its rows shuffled and sorted. Predictions come out of a dense
+    # layer: a skipped row emits +0.0 where a stepped masked row emits m * h,
+    # which is -0.0 for a negative h, and the dense layer's bias maps both to
+    # one value.
     rnn = LayerSpec(cell, units=6)
     spec = ModelSpec(input_dim=3, layers=[rnn] * members + [
         LayerSpec("dense", units=4, activation="relu"), LayerSpec(cell, units=5),
@@ -606,10 +609,13 @@ def test_trimmed_waves_give_the_bytes_of_cached_ones(cell, members):
         mask = shuffled_mask(rng, n, t_len)
         feats = rng.normal(0, 1, size=(n, t_len, 3))
         drop = [rng.random((n, t_len, 5)) >= 0.3]
-        for mode in ("eval", "train"):
-            cached, _ = forward(params, feats, mask, mode=mode, dropout_masks=drop)
-            trimmed, _ = forward(params, feats, mask, mode=mode, dropout_masks=drop, want_cache=False)
-            assert trimmed.tobytes() == cached.tobytes(), (n, mode)
+        longest_first = np.argsort(-_last_valid(mask), kind="stable")
+        for rows in (np.arange(n), longest_first):
+            for mode in ("eval", "train"):
+                args = feats[rows], mask[rows]
+                cached, _ = forward(params, *args, mode=mode, dropout_masks=[drop[0][rows]])
+                trimmed, _ = forward(params, *args, mode=mode, dropout_masks=[drop[0][rows]], want_cache=False)
+                assert trimmed.tobytes() == cached.tobytes(), (n, mode, rows.tolist())
 
 
 @pytest.mark.parametrize("members,rows,full", [
@@ -617,16 +623,19 @@ def test_trimmed_waves_give_the_bytes_of_cached_ones(cell, members):
     (3, [3] * 5 + [2] * 7, [True] * 3 + [False] * 2 + [True] * 2 + [False] * 5),
 ])
 def test_trimmed_wave_steps_only_the_rows_still_running(members, rows, full):
-    # lengths 10, 3, 7: rows run longest first, a row drops out once every
-    # member has passed its last valid step, never below two rows, and the
-    # wave ends once the last member has passed step 9. A step skips the
-    # masked blend when every row it steps is valid for every active member.
-    mask = (np.arange(12)[None, :] < np.array([10, 3, 7])[:, None]).astype(np.float64)
-    wave = _Wave(mask, members, cached=False, workspace=Workspace(), key=0)
-    assert wave.order.tolist() == [0, 2, 1]
+    # lengths 10, 7, 3, longest first: a row drops out once every member has
+    # passed its last valid step, never below two rows, and the wave ends
+    # once the last member has passed step 9. A step skips the masked blend
+    # when every row it steps is valid for every active member. Rows that do
+    # not arrive longest first (10, 3, 7), and a cached wave, step every row.
+    mask_of = lambda lengths: (np.arange(12)[None, :] < np.array(lengths)[:, None]).astype(np.float64)
+    wave = _Wave(mask_of([10, 7, 3]), members, cached=False, workspace=Workspace(), key=0)
     steps = list(wave.steps())
     assert [s for s, _, _, _ in steps] == list(range(9 + members))
     assert [r.stop for _, _, r, _ in steps] == rows
     assert [m is None for _, _, _, m in steps] == full
-    cached = _Wave(mask, members, cached=True, workspace=Workspace(), key=0)
-    assert [(s, r) for s, _, r, _ in cached.steps()] == [(s, slice(None)) for s in range(12 + members - 1)]
+    every_row = [(s, slice(None)) for s in range(12 + members - 1)]
+    unsorted = _Wave(mask_of([10, 3, 7]), members, cached=False, workspace=Workspace(), key=0)
+    assert [(s, r) for s, _, r, _ in unsorted.steps()] == every_row
+    cached = _Wave(mask_of([10, 7, 3]), members, cached=True, workspace=Workspace(), key=0)
+    assert [(s, r) for s, _, r, _ in cached.steps()] == every_row

@@ -20,7 +20,12 @@ from src/ of the checkout this file sits in. The set:
         and on the test split, and predict;
     evaluate and predict of 300 pours of 80-1,099 steps with the desk
         euclidean LSTM and GRU checkpoints;
-    the gradcheck reports at seed 0, seed 5 and --h 1e-4.
+    the gradcheck reports at seed 0, seed 5 and --h 1e-4;
+    the raw bytes of grad.numeric_gradient, both losses, for
+        gradcheck_case(cell, seed) at seeds 0 and 5 and h 1e-5 and 1e-4, and
+        for reference_model(cell) on a seeded 2-row, 7-step batch. The
+        reports print errors to 4 significant digits, so they alone would
+        miss a change in the low bits of the differences.
 
 Wall-time columns (history seconds, grid report seconds) are dropped and so
 is each run manifest's out_dir line, so only behaviour is compared.
@@ -42,9 +47,12 @@ import json  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pournet import cli  # noqa: E402
+from pournet import cli, grad, nn  # noqa: E402
+from pournet.data import PaddedBatch  # noqa: E402
 
 CELLS = ("lstm", "gru")
 LOSSES = ("mse", "euclidean")
@@ -87,6 +95,32 @@ def commands():
     yield ["gradcheck", "--out", "gradcheck_seed0.txt"]
     yield ["gradcheck", "--seed", "5", "--out", "gradcheck_seed5.txt"]
     yield ["gradcheck", "--h", "1e-4", "--out", "gradcheck_h1e-4.txt"]
+
+
+def reference_case(cell):
+    """reference_model(cell) at its seed-0 initialisation, a 2-row, 7-step
+    batch whose second row ends after 5 steps, and frozen dropout masks."""
+    spec = nn.reference_model(cell)
+    rng = np.random.default_rng(0)
+    mask = np.ones((2, 7))
+    mask[1, 5:] = 0.0
+    batch = PaddedBatch(features=rng.normal(size=(2, 7, spec.input_dim)) * mask[:, :, None],
+                        targets=rng.normal(size=(2, 7, 1)) * mask[:, :, None], mask=mask,
+                        lengths=np.array([7, 5], dtype=np.int64))
+    return nn.build_model(spec, 0), batch, grad.frozen_dropout_masks(spec, batch, rng)
+
+
+def write_numeric_gradients(root):
+    """One file of raw float64 bytes per numeric_gradient vector."""
+    out = root / "numeric_gradient"
+    out.mkdir()
+    for cell in CELLS:
+        cases = {f"seed{seed}": (grad.gradcheck_case(cell, seed), (1e-5, 1e-4)) for seed in (0, 5)}
+        cases["reference"] = (reference_case(cell), (grad.FD_STEP,))
+        for name, ((params, batch, masks), steps) in cases.items():
+            for h in steps:
+                for kind, values in grad.numeric_gradient(params, batch, masks, h=h).items():
+                    (out / f"{cell}_{name}_h{h:g}_{kind}.f64").write_bytes(values.tobytes())
 
 
 def _drop_column(path, index):
@@ -141,6 +175,7 @@ def main(argv):
         log += [f"$ pournet {text}", f"exit {code}", "stdout:", out.getvalue().rstrip("\n"),
                 "stderr:", err.getvalue().rstrip("\n")]
         print(f"exit {code}: pournet {text[:100]}", file=sys.stderr)
+    write_numeric_gradients(root)
     seconds = time.perf_counter() - tic
     Path("commands.log").write_text("\n".join(log) + "\n")
     strip_wall_time(root)
